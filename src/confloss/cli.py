@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 data error (unreadable or inconsistent inputs),
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,21 +29,13 @@ from .confidence import (
     occlusion_mask_stereo,
 )
 from .fields import BinaryMask, check_same_shape, reverse_disparity_restore
-from .losses import MODES, SequenceParams, WeightSpec, sequence_loss
+from .losses import MODES, PLAIN_L1, SequenceParams, WeightSpec, sequence_loss
 from .metrics import full_report
 from .toytrain import SceneSpec, TrainConfig, compare_runs, synth_scene
 
 FLOW, STEREO = "flow", "stereo"
-
-# Per-task hyperparameter defaults: (alpha1, beta1) weight the error-based
-# term, (alpha2, beta2) the cycle-consistency term.
-TASK_DEFAULTS = {
-    FLOW: {"alpha1": 2.0, "beta1": 0.5, "alpha2": 2.0, "beta2": 1.0},
-    STEREO: {"alpha1": 2.0, "beta1": 1.0, "alpha2": 1.0, "beta2": 1.0},
-}
-GAMMA1_DEFAULT = 0.01
-GAMMA2_DEFAULT = 0.5
-GAMMA_SEQ_DEFAULT = 0.8
+_TASK_SPECS = {FLOW: WeightSpec.flow_defaults, STEREO: WeightSpec.stereo_defaults}
+_WEIGHT_PARAMS = ("alpha1", "beta1", "alpha2", "beta2")
 
 
 class UsageError(Exception):
@@ -87,15 +81,9 @@ def _check_shapes(*named):
 
 
 def _resolve_weight_spec(args) -> WeightSpec:
-    defaults = TASK_DEFAULTS[args.task]
-    return WeightSpec(
-        mode=getattr(args, "mode", "plain_l1"),
-        alpha1=defaults["alpha1"] if args.alpha1 is None else args.alpha1,
-        beta1=defaults["beta1"] if args.beta1 is None else args.beta1,
-        alpha2=defaults["alpha2"] if args.alpha2 is None else args.alpha2,
-        beta2=defaults["beta2"] if args.beta2 is None else args.beta2,
-        cycle=CycleParams(args.gamma1, args.gamma2),
-    )
+    given = {k: getattr(args, k) for k in _WEIGHT_PARAMS if getattr(args, k) is not None}
+    return _TASK_SPECS[args.task](getattr(args, "mode", PLAIN_L1),
+                                  cycle=CycleParams(args.gamma1, args.gamma2), **given)
 
 
 def _add_common_params(p: argparse.ArgumentParser, with_task=True):
@@ -109,8 +97,8 @@ def _add_common_params(p: argparse.ArgumentParser, with_task=True):
                    help="cycle-term weight scale (default per task)")
     p.add_argument("--beta2", type=float, default=None,
                    help="cycle-term weight exponent (default per task)")
-    p.add_argument("--gamma1", type=float, default=GAMMA1_DEFAULT)
-    p.add_argument("--gamma2", type=float, default=GAMMA2_DEFAULT)
+    p.add_argument("--gamma1", type=float, default=CycleParams.gamma1)
+    p.add_argument("--gamma2", type=float, default=CycleParams.gamma2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--backward", action="append", default=None,
                    help="backward field per prediction (cycle-based modes)")
-    p.add_argument("--mode", choices=MODES, default="plain_l1")
-    p.add_argument("--gamma-seq", type=float, default=GAMMA_SEQ_DEFAULT)
+    p.add_argument("--mode", choices=MODES, default=PLAIN_L1)
+    p.add_argument("--gamma-seq", type=float, default=SequenceParams.gamma_seq)
     p.add_argument("--out-loss-map", help="per-pixel loss of the last iteration (PFM)")
     p.add_argument("--out-weight-map", help="weight map of the last iteration (PFM)")
     _add_common_params(p)
@@ -171,13 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _show_defaults() -> None:
     print("task defaults (alpha1 beta1 alpha2 beta2):")
-    for task, d in TASK_DEFAULTS.items():
-        print(f"  {task:6s} {d['alpha1']} {d['beta1']} {d['alpha2']} {d['beta2']}")
-    print(f"gamma1 {GAMMA1_DEFAULT}")
-    print(f"gamma2 {GAMMA2_DEFAULT}")
-    print(f"gamma_seq {GAMMA_SEQ_DEFAULT}")
-    print("toytrain: steps 500, learning_rate 0.05, block_size 8, "
-          "recompute_confidence_every 1")
+    for task, defaults in _TASK_SPECS.items():
+        spec = defaults()
+        print(f"  {task:6s}", *(getattr(spec, k) for k in _WEIGHT_PARAMS))
+    print(f"gamma1 {CycleParams.gamma1}")
+    print(f"gamma2 {CycleParams.gamma2}")
+    print(f"gamma_seq {SequenceParams.gamma_seq}")
+    block_size = inspect.signature(compare_runs).parameters["block_size"].default
+    print(f"toytrain: steps {TrainConfig.steps}, learning_rate {TrainConfig.learning_rate}, "
+          f"block_size {block_size}, "
+          f"recompute_confidence_every {TrainConfig.recompute_confidence_every}")
 
 
 def cmd_confmap(args) -> int:
@@ -288,15 +279,22 @@ def cmd_reverse_disparity(args) -> int:
 # ---------------------------------------------------------------------------
 # toytrain config files: UTF-8 lines of "key = value", "#" comments.
 
+# key -> (value kind, what it configures). A key sets the field of the same
+# name (noise_sigma: occluded_label_noise_sigma) of SceneSpec ("scene"),
+# TrainConfig ("train"), WeightSpec ("weights"), CycleParams ("cycle") or the
+# compare_runs argument ("run"); absent keys keep the library's defaults.
 _TOY_KEYS = {
-    "height": int, "width": int, "square_size": int,
-    "square_motion": "vec2", "background_motion": "vec2",
-    "noise_sigma": float, "steps": int, "learning_rate": float,
-    "block_size": int, "seeds": "ints", "modes": "names",
-    "alpha1": float, "beta1": float, "alpha2": float, "beta2": float,
-    "gamma1": float, "gamma2": float,
-    "recompute_confidence_every": int, "snapshot_every": int,
+    "height": (int, "scene"), "width": (int, "scene"), "square_size": (int, "scene"),
+    "square_motion": ("vec2", "scene"), "background_motion": ("vec2", "scene"),
+    "noise_sigma": (float, "scene"), "steps": (int, "train"),
+    "learning_rate": (float, "train"), "block_size": (int, "run"),
+    "seeds": ("ints", "train"), "modes": ("names", "modes"),
+    "alpha1": (float, "weights"), "beta1": (float, "weights"),
+    "alpha2": (float, "weights"), "beta2": (float, "weights"),
+    "gamma1": (float, "cycle"), "gamma2": (float, "cycle"),
+    "recompute_confidence_every": (int, "train"), "snapshot_every": (int, "train"),
 }
+_TOY_FIELDS = {"noise_sigma": "occluded_label_noise_sigma"}
 
 
 def parse_toy_config(text: str) -> dict:
@@ -310,7 +308,7 @@ def parse_toy_config(text: str) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _TOY_KEYS:
             raise DataError(f"config line {lineno}: unknown key {key!r}")
-        kind = _TOY_KEYS[key]
+        kind = _TOY_KEYS[key][0]
         try:
             if kind == "vec2":
                 parts = [float(v) for v in value.split(",")]
@@ -325,6 +323,10 @@ def parse_toy_config(text: str) -> dict:
                 values[key] = kind(value)
         except ValueError as exc:
             raise DataError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
+        if kind in ("ints", "names"):
+            for v in values[key]:
+                if values[key].count(v) > 1:
+                    raise DataError(f"config line {lineno}: {v!r} is repeated in {key!r}")
     return values
 
 
@@ -334,41 +336,22 @@ def cmd_toytrain(args) -> int:
     except OSError as exc:
         raise DataError(f"{args.config}: {exc}") from exc
     cfg = parse_toy_config(text)
+    given = defaultdict(dict)
+    for key, value in cfg.items():
+        given[_TOY_KEYS[key][1]][_TOY_FIELDS.get(key, key)] = value
 
     try:
-        scene_spec = SceneSpec(
-            height=cfg.get("height", 64),
-            width=cfg.get("width", 64),
-            square_size=cfg.get("square_size", 32),
-            square_motion=cfg.get("square_motion", (6.0, 0.0)),
-            background_motion=cfg.get("background_motion", (0.0, 0.0)),
-            occluded_label_noise_sigma=cfg.get("noise_sigma", 3.0),
-        )
+        scene_spec = SceneSpec(**given["scene"])
         modes = cfg.get("modes", ("plain_l1", "db", "oa", "multiplication"))
-        defaults = TASK_DEFAULTS[FLOW]
-        cycle = CycleParams(cfg.get("gamma1", GAMMA1_DEFAULT),
-                            cfg.get("gamma2", GAMMA2_DEFAULT))
-        seeds = cfg.get("seeds", (0,))
+        cycle = CycleParams(**given["cycle"])
         configs = [
-            TrainConfig(
-                steps=cfg.get("steps", 500),
-                learning_rate=cfg.get("learning_rate", 0.05),
-                loss_spec=WeightSpec(
-                    mode=mode,
-                    alpha1=cfg.get("alpha1", defaults["alpha1"]),
-                    beta1=cfg.get("beta1", defaults["beta1"]),
-                    alpha2=cfg.get("alpha2", defaults["alpha2"]),
-                    beta2=cfg.get("beta2", defaults["beta2"]),
-                    cycle=cycle,
-                ),
-                seeds=seeds,
-                recompute_confidence_every=cfg.get("recompute_confidence_every", 1),
-                snapshot_every=cfg.get("snapshot_every", 0),
-            )
+            TrainConfig(loss_spec=WeightSpec.flow_defaults(mode, cycle=cycle, **given["weights"]),
+                        **given["train"])
             for mode in modes
         ]
+        seeds = configs[0].seeds
         scenes = [synth_scene(replace(scene_spec, seed=s)) for s in seeds]
-        rows = compare_runs(configs, scenes, block_size=cfg.get("block_size", 8))
+        rows = compare_runs(configs, scenes, **given["run"])
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 

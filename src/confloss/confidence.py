@@ -76,47 +76,55 @@ def cycle_terms(f_fw: Grid2, f_bw: Grid2, params: CycleParams = CycleParams()):
     return Grid1(num), Grid1(den), target_valid
 
 
-def occlusion_mask(f_fw: Grid2, f_bw: Grid2,
-                   params: CycleParams = CycleParams()) -> BinaryMask:
-    """True = matched (cycle-consistent), False = occluded.
+def matched_from_terms(num: Grid1, den: Grid1, target_valid: BinaryMask) -> BinaryMask:
+    """Hard mask H from cycle_terms' result: True = matched, False = occluded.
 
     A pixel is matched when numerator < denominator (strict) and its warp
     target lies inside the frame.
     """
-    num, den, target_valid = cycle_terms(f_fw, f_bw, params)
     return BinaryMask((num.data < den.data) & target_valid.data)
 
 
-def confidence_oa(f_fw: Grid2, f_bw: Grid2,
-                  params: CycleParams = CycleParams()) -> ConfidenceMap:
-    """Cycle-consistency confidence exp(-numerator/denominator).
+def confidence_from_terms(num: Grid1, den: Grid1,
+                          target_valid: BinaryMask) -> ConfidenceMap:
+    """M_oa = exp(-numerator/denominator) from cycle_terms' result.
 
     Off-frame warp targets get confidence 0: no correspondence can exist.
     """
-    num, den, target_valid = cycle_terms(f_fw, f_bw, params)
     m = np.exp(-num.data / den.data)
     return Grid1(np.where(target_valid.data, m, 0.0))
 
 
-def occlusion_mask_stereo(d_lr: Grid1, d_rl: Grid1,
-                          params: CycleParams = CycleParams()) -> BinaryMask:
-    """Consistency mask for a rectified stereo pair.
+def stereo_as_flows(d_lr: Grid1, d_rl: Grid1) -> tuple[Grid2, Grid2]:
+    """Embed a rectified stereo pair as opposing horizontal flows.
 
     d_rl must already be restored to the right image's frame (see
-    reverse_disparity_restore), with nonnegative values.
+    reverse_disparity_restore), with nonnegative values. The vertical
+    components are identically zero under the rectified assumption.
     """
     check_same_shape(d_lr, d_rl)
-    return occlusion_mask(disparity_to_flow(d_lr, LEFT_TO_RIGHT),
-                          disparity_to_flow(d_rl, RIGHT_TO_LEFT), params)
+    return disparity_to_flow(d_lr, LEFT_TO_RIGHT), disparity_to_flow(d_rl, RIGHT_TO_LEFT)
+
+
+def occlusion_mask(f_fw: Grid2, f_bw: Grid2,
+                   params: CycleParams = CycleParams()) -> BinaryMask:
+    """True = matched (cycle-consistent), False = occluded; see matched_from_terms."""
+    return matched_from_terms(*cycle_terms(f_fw, f_bw, params))
+
+
+def confidence_oa(f_fw: Grid2, f_bw: Grid2,
+                  params: CycleParams = CycleParams()) -> ConfidenceMap:
+    """Cycle-consistency confidence; see confidence_from_terms."""
+    return confidence_from_terms(*cycle_terms(f_fw, f_bw, params))
+
+
+def occlusion_mask_stereo(d_lr: Grid1, d_rl: Grid1,
+                          params: CycleParams = CycleParams()) -> BinaryMask:
+    """Consistency mask for a rectified stereo pair (see stereo_as_flows)."""
+    return occlusion_mask(*stereo_as_flows(d_lr, d_rl), params)
 
 
 def confidence_oa_stereo(d_lr: Grid1, d_rl: Grid1,
                          params: CycleParams = CycleParams()) -> ConfidenceMap:
-    """Cycle-consistency confidence from the two disparity maps.
-
-    Equal to confidence_oa on the embedded horizontal flows; the vertical
-    components are identically zero under the rectified assumption.
-    """
-    check_same_shape(d_lr, d_rl)
-    return confidence_oa(disparity_to_flow(d_lr, LEFT_TO_RIGHT),
-                         disparity_to_flow(d_rl, RIGHT_TO_LEFT), params)
+    """Cycle-consistency confidence from the two disparity maps (see stereo_as_flows)."""
+    return confidence_oa(*stereo_as_flows(d_lr, d_rl), params)

@@ -14,29 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    if out is arr:
-        out = arr.copy()
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class Grid2:
-    """H x W grid of 2-vectors (u, v), in pixels. Stored as (H, W, 2) float64."""
+class _Grid:
+    """Shared base of the grid types: an immutable (H, W[, C]) array."""
 
     data: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ValueError(f"Grid2 expects shape (H, W, 2), got {arr.shape}")
+    def _store(self, arr: np.ndarray) -> None:
+        """Check arr's dimensions (and finiteness, if float) and keep a read-only copy."""
+        name = type(self).__name__
         if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"Grid2 dimensions must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("Grid2 rejects NaN/Inf entries")
-        object.__setattr__(self, "data", _as_readonly(arr, np.float64))
+            raise ValueError(f"{name} dimensions must be positive, got {arr.shape}")
+        if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} rejects NaN/Inf entries")
+        out = np.ascontiguousarray(arr)
+        if out is arr:
+            out = arr.copy()
+        out.setflags(write=False)
+        object.__setattr__(self, "data", out)
 
     @property
     def height(self) -> int:
@@ -49,6 +44,17 @@ class Grid2:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape[:2]
+
+
+@dataclass(frozen=True, eq=False)
+class Grid2(_Grid):
+    """H x W grid of 2-vectors (u, v), in pixels. Stored as (H, W, 2) float64."""
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise ValueError(f"Grid2 expects shape (H, W, 2), got {arr.shape}")
+        self._store(arr)
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "Grid2":
@@ -63,32 +69,14 @@ class Grid2:
 
 
 @dataclass(frozen=True, eq=False)
-class Grid1:
+class Grid1(_Grid):
     """H x W grid of scalars: disparity (pixels) or a confidence/weight map."""
-
-    data: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"Grid1 expects shape (H, W), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"Grid1 dimensions must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("Grid1 rejects NaN/Inf entries")
-        object.__setattr__(self, "data", _as_readonly(arr, np.float64))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        self._store(arr)
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "Grid1":
@@ -104,10 +92,8 @@ ConfidenceMap = Grid1
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryMask:
+class BinaryMask(_Grid):
     """H x W boolean grid (validity masks, occlusion masks)."""
-
-    data: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -115,21 +101,7 @@ class BinaryMask:
             raise ValueError(f"BinaryMask expects boolean data, got dtype {arr.dtype}")
         if arr.ndim != 2:
             raise ValueError(f"BinaryMask expects shape (H, W), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"BinaryMask dimensions must be positive, got {arr.shape}")
-        object.__setattr__(self, "data", _as_readonly(arr, np.bool_))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        self._store(arr)
 
     @classmethod
     def full(cls, height: int, width: int, value: bool = True) -> "BinaryMask":

@@ -18,7 +18,7 @@ gradient flows only through the residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,10 +27,10 @@ from .confidence import (
     CycleParams,
     confidence_db_flow,
     confidence_db_stereo,
-    confidence_oa,
-    confidence_oa_stereo,
-    occlusion_mask,
-    occlusion_mask_stereo,
+    confidence_from_terms,
+    cycle_terms,
+    matched_from_terms,
+    stereo_as_flows,
 )
 from .fields import BinaryMask, ConfidenceMap, Grid1, Grid2, check_same_shape
 
@@ -42,12 +42,21 @@ MULTIPLICATION = "multiplication"
 MASKING = "masking"
 MASK_SUM = "mask_sum"
 
-MODES = (PLAIN_L1, DB, OA, SUM, MULTIPLICATION, MASKING, MASK_SUM)
+# The factors each mode combines: the db term a1*(1-M_db)^b1, the oa term
+# a2*(M_oa)^b2, and the hard mask H, which gates the db term. M_oa and H both
+# come from the cycle check. multiplication multiplies the terms; the other
+# modes add them.
+_FACTORS = {
+    PLAIN_L1: set(),
+    DB: {"db"},
+    OA: {"oa"},
+    SUM: {"db", "oa"},
+    MULTIPLICATION: {"db", "oa"},
+    MASKING: {"db", "hard"},
+    MASK_SUM: {"db", "oa", "hard"},
+}
+MODES = tuple(_FACTORS)
 COMBINATION_MODES = (SUM, MULTIPLICATION, MASKING, MASK_SUM)
-
-# Modes that need the error-based map / the cycle-based map.
-_NEEDS_DB = (DB, SUM, MULTIPLICATION, MASKING, MASK_SUM)
-_NEEDS_OA = (OA, SUM, MULTIPLICATION, MASKING, MASK_SUM)
 
 
 @dataclass(frozen=True)
@@ -77,17 +86,15 @@ class WeightSpec:
 
     @classmethod
     def flow_defaults(cls, mode: str = PLAIN_L1, **overrides) -> "WeightSpec":
-        base = cls(mode=mode, alpha1=2.0, beta1=0.5, alpha2=2.0, beta2=1.0)
-        return replace(base, **overrides) if overrides else base
+        return cls(mode=mode, **overrides)
 
     @classmethod
     def stereo_defaults(cls, mode: str = PLAIN_L1, **overrides) -> "WeightSpec":
-        base = cls(mode=mode, alpha1=2.0, beta1=1.0, alpha2=1.0, beta2=1.0)
-        return replace(base, **overrides) if overrides else base
+        return cls(mode=mode, **{"beta1": 1.0, "alpha2": 1.0, **overrides})
 
     @property
     def needs_backward(self) -> bool:
-        return self.mode in _NEEDS_OA
+        return bool(_FACTORS[self.mode] & {"oa", "hard"})
 
 
 @dataclass(frozen=True)
@@ -141,24 +148,28 @@ def weight_oa(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
     return Grid1(1.0 + alpha * data**beta)
 
 
-def weight_combine(m_db: ConfidenceMap, m_oa: ConfidenceMap, hard: BinaryMask,
+def weight_combine(m_db: ConfidenceMap, m_oa: ConfidenceMap | None, hard: BinaryMask,
                    spec: WeightSpec) -> Grid1:
-    """Combined weight map for the four combination modes."""
+    """Combined weight map for the four combination modes.
+
+    m_oa may be None for masking, the one combination without the oa term;
+    hard is ignored by the modes without H.
+    """
     if spec.mode not in COMBINATION_MODES:
         raise ValueError(f"mode {spec.mode!r} is not a combination mode")
-    check_same_shape(m_db, m_oa, hard)
+    uses = _FACTORS[spec.mode]
+    if "oa" in uses and m_oa is None:
+        raise ValueError(f"mode {spec.mode!r} needs the cycle-based map")
+    check_same_shape(*(g for g in (m_db, m_oa, hard) if g is not None))
     db_term = spec.alpha1 * (1.0 - _check_unit_range(m_db)) ** spec.beta1
+    if "hard" in uses:
+        db_term = np.where(hard.data, db_term, 0.0)
+    if "oa" not in uses:
+        return Grid1(1.0 + db_term)
     oa_term = spec.alpha2 * _check_unit_range(m_oa) ** spec.beta2
-    h = hard.data
-    if spec.mode == SUM:
-        w = 1.0 + db_term + oa_term
-    elif spec.mode == MULTIPLICATION:
-        w = 1.0 + db_term * oa_term
-    elif spec.mode == MASKING:
-        w = 1.0 + np.where(h, db_term, 0.0)
-    else:  # MASK_SUM
-        w = 1.0 + np.where(h, db_term, 0.0) + oa_term
-    return Grid1(w)
+    if spec.mode == MULTIPLICATION:
+        return Grid1(1.0 + db_term * oa_term)
+    return Grid1(1.0 + db_term + oa_term)
 
 
 def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
@@ -201,36 +212,34 @@ def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
 
     The error-based map is computed from pred vs gt; the cycle-based map and
     the hard mask from (pred, backward). For stereo (Grid1 inputs), backward
-    is the restored right-to-left disparity.
+    is the restored right-to-left disparity. M_oa and H come from one shared
+    cycle check.
     """
     h, w = check_same_shape(pred, gt, valid)
-    if spec.mode == PLAIN_L1:
+    uses = _FACTORS[spec.mode]
+    if not uses:
         return Grid1.full(h, w, 1.0)
 
     stereo = isinstance(pred, Grid1)
     m_db = m_oa = hard = None
-    if spec.mode in _NEEDS_DB:
+    if "db" in uses:
         m_db = (confidence_db_stereo if stereo else confidence_db_flow)(pred, gt, valid)
-    if spec.mode in _NEEDS_OA:
+    if spec.needs_backward:
         if backward is None:
             raise ValueError(f"mode {spec.mode!r} needs a backward field")
         check_same_shape(pred, backward)
-        if stereo:
-            m_oa = confidence_oa_stereo(pred, backward, spec.cycle)
-        else:
-            m_oa = confidence_oa(pred, backward, spec.cycle)
+        flows = stereo_as_flows(pred, backward) if stereo else (pred, backward)
+        terms = cycle_terms(*flows, spec.cycle)
+        if "oa" in uses:
+            m_oa = confidence_from_terms(*terms)
+        if "hard" in uses:
+            hard = matched_from_terms(*terms)
 
     if spec.mode == DB:
         return weight_db(m_db, spec.alpha1, spec.beta1)
     if spec.mode == OA:
         return weight_oa(m_oa, spec.alpha2, spec.beta2)
-
-    if spec.mode in (MASKING, MASK_SUM):
-        if stereo:
-            hard = occlusion_mask_stereo(pred, backward, spec.cycle)
-        else:
-            hard = occlusion_mask(pred, backward, spec.cycle)
-    else:
+    if hard is None:  # sum and multiplication do not use H
         hard = BinaryMask.full(h, w, True)
     return weight_combine(m_db, m_oa, hard, spec)
 

@@ -225,6 +225,9 @@ class TrainConfig:
             raise ValueError("recompute_confidence_every must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
+        for seed in self.seeds:
+            if self.seeds.count(seed) > 1:
+                raise ValueError(f"seed {seed} is repeated in seeds {self.seeds}")
 
 
 @dataclass(frozen=True)

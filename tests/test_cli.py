@@ -39,8 +39,15 @@ def rng():
 class TestTopLevel:
     def test_show_defaults(self, capsys):
         assert main(["--show-defaults"]) == 0
-        out = capsys.readouterr().out
-        assert "gamma1 0.01" in out and "gamma_seq 0.8" in out
+        assert capsys.readouterr().out == (
+            "task defaults (alpha1 beta1 alpha2 beta2):\n"
+            "  flow   2.0 0.5 2.0 1.0\n"
+            "  stereo 2.0 1.0 1.0 1.0\n"
+            "gamma1 0.01\n"
+            "gamma2 0.5\n"
+            "gamma_seq 0.8\n"
+            "toytrain: steps 500, learning_rate 0.05, block_size 8, "
+            "recompute_confidence_every 1\n")
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
@@ -186,6 +193,23 @@ class TestLoss:
         assert float(capsys.readouterr().out.strip()) == pytest.approx(res.scalar,
                                                                        abs=1e-6)
 
+        # Stereo, through the shared cycle check (M_oa and H) of mask_sum.
+        d_pred = rng.uniform(0, 3, (4, 6)).astype(np.float32)
+        d_gt = rng.uniform(0, 3, (4, 6)).astype(np.float32)
+        d_bw = rng.uniform(0, 3, (4, 6)).astype(np.float32)
+        assert main(["loss", "--task", "stereo", "--mode", "mask_sum",
+                     "--pred", pfm(tmp_path / "dp.pfm", d_pred),
+                     "--gt", pfm(tmp_path / "dg.pfm", d_gt),
+                     "--backward", pfm(tmp_path / "db.pfm", d_bw),
+                     "--out-weight-map", str(weight_map)]) == 0
+        res = evaluate_loss(Grid1(d_pred), Grid1(d_gt), BinaryMask.full(4, 6),
+                            WeightSpec.stereo_defaults("mask_sum"), backward=Grid1(d_bw))
+        got_w, _ = read_pfm(weight_map.read_bytes())
+        np.testing.assert_allclose(got_w.data, res.weight_map.data.astype(np.float32),
+                                   rtol=1e-6)
+        assert float(capsys.readouterr().out.strip()) == pytest.approx(res.scalar,
+                                                                       abs=1e-6)
+
 
 class TestEval:
     def test_perfect_prediction_csv(self, tmp_path, rng, capsys):
@@ -311,3 +335,25 @@ class TestToytrain:
         assert (out1 / "report_multiplication_seed1.csv").exists()
         assert (out1 / "mdb_plain_l1_seed0_step15.pgm").exists()
         assert (out1 / "moa_multiplication_seed1_step30.pgm").exists()
+
+    @pytest.mark.parametrize("line, repeated", [("seeds = 0, 0", "0"),
+                                                ("modes = db, oa, db", "'db'")],
+                             ids=("seeds", "modes"))
+    def test_duplicate_seeds_and_modes_rejected(self, tmp_path, capsys, line, repeated):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"steps = 2\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["toytrain", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"{repeated} is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_square_motion_defaults_to_scene_spec(self, tmp_path, capsys):
+        base = "steps = 3\nmodes = oa\n"
+        outputs = []
+        for name, text in (("default", base), ("explicit", base + "square_motion = 8, 0\n")):
+            cfg = tmp_path / f"{name}.txt"
+            cfg.write_text(text)
+            assert main(["toytrain", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "comparison.csv").read_bytes())
+        assert outputs[0] == outputs[1]

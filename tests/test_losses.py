@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from confloss import confidence as confidence_module
 from confloss import (
     BinaryMask,
     Grid1,
@@ -197,6 +198,49 @@ def test_gradient_matches_finite_differences(mode):
     check = valid.data & away_from_kink
     rel = np.abs(res.grad.data - fd) / np.maximum(np.abs(fd), 1e-12)
     assert rel[check].max() < 1e-3
+
+
+@pytest.mark.parametrize("task", ("flow", "stereo"))
+@pytest.mark.parametrize("mode", MODES)
+def test_build_weights_matches_oracles(mode, task, monkeypatch):
+    """Every pixel of the composed weight map against the brute-force oracles,
+    with stereo disparities embedded as horizontal flows; one cycle check
+    (one backward warp) per weight map."""
+    rng = np.random.default_rng(37)
+    h, w = 6, 7
+    valid = BinaryMask(rng.random((h, w)) > 0.2)
+    if task == "flow":
+        spec = WeightSpec.flow_defaults(mode)
+        pred = Grid2(rng.normal(0, 2, (h, w, 2)))
+        gt = Grid2(pred.data + rng.normal(0, 1, (h, w, 2)))
+        bw = Grid2(-pred.data + rng.normal(0, 0.7, (h, w, 2)))
+        fw_list, bw_list = pred.data.tolist(), bw.data.tolist()
+        m_db = oracles.confidence_db_flow(pred.data.tolist(), gt.data.tolist(),
+                                          valid.data.tolist())
+    else:
+        spec = WeightSpec.stereo_defaults(mode)
+        pred = Grid1(rng.uniform(0, 3, (h, w)))
+        gt = Grid1(pred.data + rng.normal(0, 1, (h, w)))
+        bw = Grid1(np.clip(pred.data + rng.normal(0, 0.7, (h, w)), 0, None))
+        fw_list = [[(-d, 0.0) for d in row] for row in pred.data.tolist()]
+        bw_list = [[(d, 0.0) for d in row] for row in bw.data.tolist()]
+        m_db = oracles.confidence_db_stereo(pred.data.tolist(), gt.data.tolist(),
+                                            valid.data.tolist())
+    g1, g2 = spec.cycle.gamma1, spec.cycle.gamma2
+    matched = oracles.cycle_check(fw_list, bw_list, g1, g2)[3]
+    m_oa = oracles.confidence_oa(fw_list, bw_list, g1, g2)
+    assert 0 < sum(map(sum, matched)) < h * w  # both sides of the hard mask
+    expected = [[oracles.weight(mode, m_db[y][x], m_oa[y][x], matched[y][x],
+                                spec.alpha1, spec.beta1, spec.alpha2, spec.beta2)
+                 for x in range(w)] for y in range(h)]
+
+    warps = []
+    real_warp = confidence_module.backward_warp
+    monkeypatch.setattr(confidence_module, "backward_warp",
+                        lambda *args: warps.append(1) or real_warp(*args))
+    weights = build_weights(spec, pred, gt, valid, backward=bw)
+    np.testing.assert_allclose(weights.data, expected, rtol=0, atol=1e-12)
+    assert len(warps) == (1 if spec.needs_backward else 0)
 
 
 class TestModeIdentities:

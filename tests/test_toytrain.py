@@ -191,6 +191,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(recompute_confidence_every=0)
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seed 3 is repeated"):
+            TrainConfig(seeds=(3, 1, 3))
+
 
 class TestCompareRuns:
     def test_identical_configs_identical_rows(self):
