@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 data error (unreadable or inconsistent inputs),
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from collections import defaultdict
 from dataclasses import replace
@@ -31,7 +30,8 @@ from .confidence import (
 from .fields import BinaryMask, check_same_shape, reverse_disparity_restore
 from .losses import MODES, PLAIN_L1, SequenceParams, WeightSpec, sequence_loss
 from .metrics import full_report
-from .toytrain import SceneSpec, TrainConfig, compare_runs, synth_scene
+from .toytrain import (BLOCK_SIZE, SceneSpec, TrainConfig, TrainingDivergedError,
+                       compare_runs, synth_scene)
 
 FLOW, STEREO = "flow", "stereo"
 _TASK_SPECS = {FLOW: WeightSpec.flow_defaults, STEREO: WeightSpec.stereo_defaults}
@@ -165,9 +165,8 @@ def _show_defaults() -> None:
     print(f"gamma1 {CycleParams.gamma1}")
     print(f"gamma2 {CycleParams.gamma2}")
     print(f"gamma_seq {SequenceParams.gamma_seq}")
-    block_size = inspect.signature(compare_runs).parameters["block_size"].default
     print(f"toytrain: steps {TrainConfig.steps}, learning_rate {TrainConfig.learning_rate}, "
-          f"block_size {block_size}, "
+          f"block_size {BLOCK_SIZE}, "
           f"recompute_confidence_every {TrainConfig.recompute_confidence_every}")
 
 
@@ -352,7 +351,7 @@ def cmd_toytrain(args) -> int:
         seeds = configs[0].seeds
         scenes = [synth_scene(replace(scene_spec, seed=s)) for s in seeds]
         rows = compare_runs(configs, scenes, **given["run"])
-    except ValueError as exc:
+    except (ValueError, TrainingDivergedError) as exc:
         raise DataError(str(exc)) from exc
 
     out_dir = Path(args.out_dir)
@@ -398,10 +397,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"confloss: error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ValueError) as exc:
-        print(f"confloss: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"confloss: error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ from .fields import (
     Grid1,
     Grid2,
     backward_warp,
+    check_finite,
     check_same_shape,
     disparity_to_flow,
 )
@@ -37,6 +38,7 @@ class CycleParams:
     gamma2: float = 0.5
 
     def __post_init__(self):
+        check_finite(self, "gamma1", "gamma2")
         if self.gamma1 < 0:
             raise ValueError(f"gamma1 must be >= 0, got {self.gamma1}")
         if self.gamma2 <= 0:

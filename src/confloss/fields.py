@@ -14,6 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of obj's fields that holds a NaN or Inf."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """Shared base of the grid types: an immutable (H, W[, C]) array."""

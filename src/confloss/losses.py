@@ -32,7 +32,7 @@ from .confidence import (
     matched_from_terms,
     stereo_as_flows,
 )
-from .fields import BinaryMask, ConfidenceMap, Grid1, Grid2, check_same_shape
+from .fields import BinaryMask, ConfidenceMap, Grid1, Grid2, check_finite, check_same_shape
 
 PLAIN_L1 = "plain_l1"
 DB = "db"
@@ -79,6 +79,7 @@ class WeightSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown loss mode {self.mode!r}; expected one of {MODES}")
+        check_finite(self, "alpha1", "beta1", "alpha2", "beta2")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("alpha values must be >= 0")
         if self.beta1 <= 0 or self.beta2 <= 0:

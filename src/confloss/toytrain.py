@@ -16,9 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .confidence import confidence_db_flow, confidence_oa
-from .fields import BinaryMask, Grid1, Grid2
+from .fields import BinaryMask, Grid1, Grid2, check_finite
 from .losses import WeightSpec, build_weights, weighted_l1
 from .metrics import MetricReport, full_report
+
+BLOCK_SIZE = 8  # default side of a model block, in pixels
 
 
 class TrainingDivergedError(RuntimeError):
@@ -40,6 +42,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "square_motion", "background_motion", "occluded_label_noise_sigma")
         if self.occluded_label_noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
         if self.square_size < 1 or self.square_size > min(self.height, self.width):
@@ -140,7 +143,7 @@ class BlockFlowModel:
     per pixel, which forces the trade-offs the weighted losses manage.
     """
 
-    def __init__(self, height: int, width: int, block_size: int = 8,
+    def __init__(self, height: int, width: int, block_size: int = BLOCK_SIZE,
                  params: np.ndarray | None = None):
         if block_size < 2:
             raise ValueError("block_size must be >= 2 (capacity below one parameter per pixel)")
@@ -155,41 +158,27 @@ class BlockFlowModel:
         if params.shape != self.coarse_shape + (2,):
             raise ValueError(f"params shape {params.shape} != {self.coarse_shape + (2,)}")
         self.params = np.array(params, dtype=np.float64)
-        self._i0, self._i1, self._fy = self._axis_weights(height, self.coarse_shape[0])
-        self._j0, self._j1, self._fx = self._axis_weights(width, self.coarse_shape[1])
+        self._ry = self._axis_matrix(height, self.coarse_shape[0])
+        self._rx = self._axis_matrix(width, self.coarse_shape[1])
 
-    def _axis_weights(self, n_full: int, n_coarse: int):
+    def _axis_matrix(self, n_full: int, n_coarse: int) -> np.ndarray:
+        """(n_full, n_coarse) linear-interpolation weights along one axis."""
         b = self.block_size
         # Block centers sit at (i + 0.5) * b - 0.5; clamp outside the centers.
         c = np.clip((np.arange(n_full) + 0.5) / b - 0.5, 0.0, n_coarse - 1.0)
-        i0 = np.floor(c).astype(np.intp)
-        i1 = np.minimum(i0 + 1, n_coarse - 1)
-        return i0, i1, c - i0
+        # Hat function: weight 1 - |c - i| on the two centers around c, 0 elsewhere.
+        return np.maximum(0.0, 1.0 - np.abs(c[:, None] - np.arange(n_coarse)))
 
     def predict(self) -> Grid2:
         return Grid2(self.upsample(self.params))
 
     def upsample(self, params: np.ndarray) -> np.ndarray:
-        i0, i1 = self._i0[:, None], self._i1[:, None]
-        j0, j1 = self._j0[None, :], self._j1[None, :]
-        fy = self._fy[:, None, None]
-        fx = self._fx[None, :, None]
-        top = params[i0, j0] * (1 - fx) + params[i0, j1] * fx
-        bot = params[i1, j0] * (1 - fx) + params[i1, j1] * fx
-        return top * (1 - fy) + bot * fy
+        """Per channel c: R_y @ params[..., c] @ R_x.T."""
+        return np.moveaxis(self._ry @ np.moveaxis(params, -1, 0) @ self._rx.T, 0, -1)
 
     def upsample_transpose(self, grad_full: np.ndarray) -> np.ndarray:
-        """Adjoint of upsample: scatter full-resolution values to the coarse grid."""
-        out = np.zeros(self.coarse_shape + (2,))
-        fy = self._fy[:, None, None]
-        fx = self._fx[None, :, None]
-        iy0, iy1 = self._i0[:, None], self._i1[:, None]
-        jx0, jx1 = self._j0[None, :], self._j1[None, :]
-        np.add.at(out, (iy0, jx0), grad_full * (1 - fy) * (1 - fx))
-        np.add.at(out, (iy0, jx1), grad_full * (1 - fy) * fx)
-        np.add.at(out, (iy1, jx0), grad_full * fy * (1 - fx))
-        np.add.at(out, (iy1, jx1), grad_full * fy * fx)
-        return out
+        """Adjoint of upsample: per channel c, R_y.T @ grad_full[..., c] @ R_x."""
+        return np.moveaxis(self._ry.T @ np.moveaxis(grad_full, -1, 0) @ self._rx, 0, -1)
 
     def footprint_weighted_mean(self, values: np.ndarray,
                                 mass: np.ndarray) -> np.ndarray:
@@ -217,6 +206,7 @@ class TrainConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
+        check_finite(self, "learning_rate")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.learning_rate <= 0:
@@ -347,7 +337,7 @@ def _mean_or_none(values):
 
 
 def compare_runs(configs: Sequence[TrainConfig], scenes: Sequence[Scene],
-                 block_size: int = 8) -> list[ComparisonRow]:
+                 block_size: int = BLOCK_SIZE) -> list[ComparisonRow]:
     """Train one model per (config, seed) pair and average the metrics.
 
     The configs must differ only in loss_spec and share one seed list;

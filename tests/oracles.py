@@ -42,6 +42,21 @@ def bilinear(data, x, y):
     return value, True
 
 
+def block_upsample(params, block):
+    """Upsample a coarse (h, w, 2) grid to (h*block, w*block, 2).
+
+    Coarse cell i is centered at full-resolution coordinate (i + 0.5) * block
+    - 0.5; a pixel outside the outermost centers takes the border value.
+    """
+    h, w = len(params), len(params[0])
+
+    def coarse(i, n):
+        return min(max((i + 0.5) / block - 0.5, 0.0), n - 1.0)
+
+    return [[bilinear(params, coarse(x, w), coarse(y, h))[0] for x in range(w * block)]
+            for y in range(h * block)]
+
+
 def cycle_check(fw, bw, gamma1, gamma2):
     """Per-pixel (numerator, denominator, target_in_bounds, matched) lists."""
     h, w = len(fw), len(fw[0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,18 @@ snapshot_every = 15
 """
 
 
+PINNED_COMPARISON = """\
+mode,epe,epe_matched,epe_unmatched,px3,seeds
+plain_l1,1.7233,1.8148,0.3512,25.0000,2
+db,1.7076,1.7958,0.3845,25.0000,2
+oa,1.7252,1.8172,0.3459,25.0000,2
+sum,1.7142,1.8036,0.3743,25.0000,2
+multiplication,1.7064,1.7921,0.4216,25.0000,2
+masking,1.7078,1.7947,0.4035,25.0000,2
+mask_sum,1.7142,1.8034,0.3750,25.0000,2
+"""
+
+
 class TestToytrain:
     def test_config_parser(self):
         cfg = parse_toy_config(TOY_CONFIG)
@@ -346,6 +360,42 @@ class TestToytrain:
         assert main(["toytrain", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert f"{repeated} is repeated" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_divergence_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("steps = 3\nmodes = plain_l1\nlearning_rate = 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert re.search(r"^confloss: error: training diverged at step \d+: ",
+                         capsys.readouterr().err, re.MULTILINE)
+
+    @pytest.mark.parametrize("line, field", [
+        ("noise_sigma = nan", "noise_sigma"),
+        ("square_motion = inf, 0", "square_motion"),
+        ("background_motion = 0, nan", "background_motion"),
+        ("learning_rate = nan", "learning_rate"),
+        ("alpha1 = nan", "alpha1"),
+        ("beta2 = inf", "beta2"),
+        ("gamma1 = nan", "gamma1"),
+        ("gamma2 = inf", "gamma2"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"steps = 2\nmodes = oa\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["toytrain", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert re.search(rf"^confloss: error: \w*{field} must be finite",
+                         capsys.readouterr().err, re.MULTILINE)
+        assert not out.exists()
+
+    def test_all_modes_comparison_bytes_pinned(self, tmp_path, capsys):
+        # Exact bytes: a rewrite of the block model or trainer must reproduce them.
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("steps = 40\nseeds = 0, 1\n"
+                       "modes = plain_l1, db, oa, sum, multiplication, masking, mask_sum\n")
+        assert main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "comparison.csv").read_bytes() == PINNED_COMPARISON.encode()
 
     def test_square_motion_defaults_to_scene_spec(self, tmp_path, capsys):
         base = "steps = 3\nmodes = oa\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from confloss import (
     BlockFlowModel,
     SceneSpec,
@@ -76,6 +77,11 @@ class TestSynthScene:
         np.testing.assert_array_equal(a.train_labels.data, b.train_labels.data)
 
 
+# (height, width, block): square, non-square, and grids whose border pixels
+# lie outside the outermost block centers and clamp to them.
+UPSAMPLE_SHAPES = [(64, 64, 8), (32, 24, 8), (12, 20, 4), (6, 10, 2)]
+
+
 class TestBlockFlowModel:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -90,12 +96,20 @@ class TestBlockFlowModel:
         np.testing.assert_allclose(pred.data[..., 0], 2.0)
         np.testing.assert_allclose(pred.data[..., 1], -1.0)
 
-    def test_transpose_is_adjoint(self):
-        model = BlockFlowModel(32, 24, 8)
+    @pytest.mark.parametrize("h, w, block", UPSAMPLE_SHAPES)
+    def test_upsample_matches_oracle(self, h, w, block):
+        model = BlockFlowModel(h, w, block)
+        p = np.random.default_rng(1).normal(size=model.params.shape)
+        expected = np.array(oracles.block_upsample(p.tolist(), block))
+        np.testing.assert_allclose(model.upsample(p), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("h, w, block", UPSAMPLE_SHAPES)
+    def test_transpose_is_adjoint(self, h, w, block):
+        model = BlockFlowModel(h, w, block)
         rng = np.random.default_rng(0)
         for _ in range(5):
             p = rng.normal(size=model.params.shape)
-            g = rng.normal(size=(32, 24, 2))
+            g = rng.normal(size=(h, w, 2))
             lhs = np.sum(model.upsample(p) * g)
             rhs = np.sum(p * model.upsample_transpose(g))
             assert lhs == pytest.approx(rhs, rel=1e-12)
