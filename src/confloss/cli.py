@@ -281,13 +281,14 @@ def cmd_reverse_disparity(args) -> int:
 # key -> (value kind, what it configures). A key sets the field of the same
 # name (noise_sigma: occluded_label_noise_sigma) of SceneSpec ("scene"),
 # TrainConfig ("train"), WeightSpec ("weights"), CycleParams ("cycle") or the
-# compare_runs argument ("run"); absent keys keep the library's defaults.
+# compare_runs argument ("run"); "seeds" and "modes" list the scene seeds and
+# loss modes to compare. Absent keys keep the library's defaults.
 _TOY_KEYS = {
     "height": (int, "scene"), "width": (int, "scene"), "square_size": (int, "scene"),
     "square_motion": ("vec2", "scene"), "background_motion": ("vec2", "scene"),
     "noise_sigma": (float, "scene"), "steps": (int, "train"),
     "learning_rate": (float, "train"), "block_size": (int, "run"),
-    "seeds": ("ints", "train"), "modes": ("names", "modes"),
+    "seeds": ("ints", "seeds"), "modes": ("names", "modes"),
     "alpha1": (float, "weights"), "beta1": (float, "weights"),
     "alpha2": (float, "weights"), "beta2": (float, "weights"),
     "gamma1": (float, "cycle"), "gamma2": (float, "cycle"),
@@ -348,8 +349,8 @@ def cmd_toytrain(args) -> int:
                         **given["train"])
             for mode in modes
         ]
-        seeds = configs[0].seeds
-        scenes = [synth_scene(replace(scene_spec, seed=s)) for s in seeds]
+        scenes = [synth_scene(replace(scene_spec, seed=s))
+                  for s in cfg.get("seeds", (scene_spec.seed,))]
         rows = compare_runs(configs, scenes, **given["run"])
     except (ValueError, TrainingDivergedError) as exc:
         raise DataError(str(exc)) from exc
@@ -359,7 +360,8 @@ def cmd_toytrain(args) -> int:
     with open(out_dir / "comparison.csv", "w", newline="") as fh:
         fileio.write_comparison_csv(rows, fh)
     for row in rows:
-        for seed, report in zip(seeds, row.per_seed):
+        for scene, report in zip(scenes, row.per_seed):
+            seed = scene.spec.seed
             with open(out_dir / f"report_{row.mode}_seed{seed}.csv", "w", newline="") as fh:
                 fileio.write_metrics_csv(report.report, fh)
             for step, m_db, m_oa in report.snapshots:

@@ -129,7 +129,7 @@ def full_report(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
     else:
         matched = unmatched = None
         counts["matched"] = counts["unmatched"] = 0
-    bad_p, avg_err = stereo_metrics(e, gt if isinstance(gt, Grid1) else magnitude_map(gt), valid)
+    bad_p, avg_err = stereo_metrics(e, mag, valid)
     return MetricReport(
         epe=aggregate_epe(e, valid),
         outlier_rates={t: outlier_rate(e, valid, t) for t in OUTLIER_THRESHOLDS},

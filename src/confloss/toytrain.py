@@ -184,11 +184,12 @@ class BlockFlowModel:
                                 mass: np.ndarray) -> np.ndarray:
         """Per-cell weighted average of full-resolution values.
 
-        Both arguments are (H, W, 2); the result divides the scattered values
-        by the scattered mass, cellwise, with empty cells mapping to 0.
+        values is (H, W, 2) and mass is (H, W); the result divides the
+        scattered values by the scattered mass, cellwise, with empty cells
+        mapping to 0.
         """
         num = self.upsample_transpose(values)
-        den = self.upsample_transpose(mass)
+        den = self.upsample_transpose(mass[..., None])
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     def clone(self) -> "BlockFlowModel":
@@ -201,7 +202,6 @@ class TrainConfig:
     steps: int = 500
     learning_rate: float = 0.05
     loss_spec: WeightSpec = field(default_factory=WeightSpec)
-    seeds: tuple[int, ...] = (0,)
     recompute_confidence_every: int = 1
     snapshot_every: int = 0
 
@@ -215,9 +215,6 @@ class TrainConfig:
             raise ValueError("recompute_confidence_every must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        for seed in self.seeds:
-            if self.seeds.count(seed) > 1:
-                raise ValueError(f"seed {seed} is repeated in seeds {self.seeds}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +229,7 @@ class TrainReport:
     snapshots: list[tuple[int, Grid1, Grid1]]
 
 
-def train(scenes: Sequence[Scene], model: BlockFlowModel,
-          config: TrainConfig) -> TrainReport:
+def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainReport:
     """Fit forward and backward block models with plain gradient descent.
 
     Each step rebuilds the confidence maps from the current predictions
@@ -246,74 +242,60 @@ def train(scenes: Sequence[Scene], model: BlockFlowModel,
     multiplier. The input model is not mutated; the backward predictor is an
     independent zero-initialized parameter set of the same shape.
     """
-    if not scenes:
-        raise ValueError("no scenes to train on")
-    for scene in scenes:
-        if scene.spec.height != model.height or scene.spec.width != model.width:
-            raise ValueError("scene dimensions do not match the model")
+    if scene.spec.height != model.height or scene.spec.width != model.width:
+        raise ValueError("scene dimensions do not match the model")
 
     spec = config.loss_spec
     fw_model = model.clone()
     bw_model = BlockFlowModel(model.height, model.width, model.block_size)
-    cached_weights: list[tuple[Grid1, Grid1]] = []
     loss_history: list[float] = []
     snapshots: list[tuple[int, Grid1, Grid1]] = []
 
-    def coarse_grad(model_, res, wmap, valid):
-        mass = np.where(valid.data, wmap.data, 0.0)[..., None]
-        return model_.footprint_weighted_mean(
-            res.grad.data, np.broadcast_to(mass, res.grad.data.shape))
+    # Divergence is detected below from the values themselves, so numpy's
+    # overflow warnings on the way there are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            fw_data = fw_model.upsample(fw_model.params)
+            bw_data = bw_model.upsample(bw_model.params)
+            if not (np.all(np.isfinite(fw_data)) and np.all(np.isfinite(bw_data))):
+                raise TrainingDivergedError(step, "prediction is not finite")
+            fw, bw = Grid2(fw_data), Grid2(bw_data)
 
-    for step in range(config.steps):
-        fw_data = fw_model.upsample(fw_model.params)
-        bw_data = bw_model.upsample(bw_model.params)
-        if not (np.all(np.isfinite(fw_data)) and np.all(np.isfinite(bw_data))):
-            raise TrainingDivergedError(step, "prediction is not finite")
-        fw, bw = Grid2(fw_data), Grid2(bw_data)
+            if step % config.recompute_confidence_every == 0:
+                try:
+                    w_fw = build_weights(spec, fw, scene.train_labels, scene.valid, backward=bw)
+                    w_bw = build_weights(spec, bw, scene.train_labels_backward, scene.valid,
+                                         backward=fw)
+                except ValueError as exc:
+                    raise TrainingDivergedError(step, str(exc)) from exc
 
-        if step % config.recompute_confidence_every == 0 or not cached_weights:
-            cached_weights = [
-                (build_weights(spec, fw, scene.train_labels, scene.valid, backward=bw),
-                 build_weights(spec, bw, scene.train_labels_backward, scene.valid,
-                               backward=fw))
-                for scene in scenes
-            ]
-
-        fw_grad = np.zeros_like(fw_model.params)
-        bw_grad = np.zeros_like(bw_model.params)
-        step_loss = 0.0
-        for scene, (w_fw, w_bw) in zip(scenes, cached_weights):
             res_fw = weighted_l1(fw, scene.train_labels, w_fw, scene.valid)
             res_bw = weighted_l1(bw, scene.train_labels_backward, w_bw, scene.valid)
-            fw_grad += coarse_grad(fw_model, res_fw, w_fw, scene.valid)
-            bw_grad += coarse_grad(bw_model, res_bw, w_bw, scene.valid)
-            step_loss += res_fw.scalar
-        step_loss /= len(scenes)
-        if not np.isfinite(step_loss):
-            raise TrainingDivergedError(step, f"loss is {step_loss}")
-        loss_history.append(step_loss)
+            if not np.isfinite(res_fw.scalar):
+                raise TrainingDivergedError(step, f"loss is {res_fw.scalar}")
+            loss_history.append(res_fw.scalar)
 
-        fw_model.params -= config.learning_rate * fw_grad / len(scenes)
-        bw_model.params -= config.learning_rate * bw_grad / len(scenes)
+            fw_model.params -= config.learning_rate * fw_model.footprint_weighted_mean(
+                res_fw.grad.data, np.where(scene.valid.data, w_fw.data, 0.0))
+            bw_model.params -= config.learning_rate * bw_model.footprint_weighted_mean(
+                res_bw.grad.data, np.where(scene.valid.data, w_bw.data, 0.0))
 
-        if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
-            snapshots.append((step + 1,
-                              confidence_db_flow(fw, scenes[0].train_labels, scenes[0].valid),
-                              confidence_oa(fw, bw, spec.cycle)))
+            if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
+                snapshots.append((step + 1,
+                                  confidence_db_flow(fw, scene.train_labels, scene.valid),
+                                  confidence_oa(fw, bw, spec.cycle)))
 
     final_fw = Grid2(fw_model.upsample(fw_model.params))
     final_bw = Grid2(bw_model.upsample(bw_model.params))
-    scene0 = scenes[0]
     # Scored against the clean ground truth; matched region = not occluded.
-    report = full_report(final_fw, scene0.gt_forward, scene0.valid,
-                         region=~scene0.occlusion)
+    report = full_report(final_fw, scene.gt_forward, scene.valid, region=~scene.occlusion)
     return TrainReport(
         mode=spec.mode,
         loss_history=loss_history,
         report=report,
         final_forward=final_fw,
         final_backward=final_bw,
-        final_m_db=confidence_db_flow(final_fw, scene0.train_labels, scene0.valid),
+        final_m_db=confidence_db_flow(final_fw, scene.train_labels, scene.valid),
         final_m_oa=confidence_oa(final_fw, final_bw, spec.cycle),
         snapshots=snapshots,
     )
@@ -338,29 +320,28 @@ def _mean_or_none(values):
 
 def compare_runs(configs: Sequence[TrainConfig], scenes: Sequence[Scene],
                  block_size: int = BLOCK_SIZE) -> list[ComparisonRow]:
-    """Train one model per (config, seed) pair and average the metrics.
+    """Train one model per (config, scene) pair and average the metrics.
 
-    The configs must differ only in loss_spec and share one seed list;
-    scenes[i] is the scene for seeds[i] (generated by the caller, typically
-    with synth_scene(replace(scene_spec, seed=seeds[i]))).
+    The configs must differ only in loss_spec. Each scene carries its seed in
+    scene.spec.seed (generated by the caller, typically with
+    synth_scene(replace(scene_spec, seed=seed))).
     """
     if not configs:
         raise ValueError("no configs to compare")
+    if not scenes:
+        raise ValueError("no scenes to train on")
     base = configs[0]
     for cfg in configs[1:]:
-        if (cfg.steps, cfg.learning_rate, cfg.seeds, cfg.recompute_confidence_every) != \
-           (base.steps, base.learning_rate, base.seeds, base.recompute_confidence_every):
+        if (cfg.steps, cfg.learning_rate, cfg.recompute_confidence_every) != \
+           (base.steps, base.learning_rate, base.recompute_confidence_every):
             raise ValueError("configs must differ only in loss_spec")
-    if len(scenes) != len(base.seeds):
-        raise ValueError(f"need one scene per seed: {len(scenes)} scenes, "
-                         f"{len(base.seeds)} seeds")
 
     rows = []
     for cfg in configs:
         reports = []
         for scene in scenes:
             model = BlockFlowModel(scene.spec.height, scene.spec.width, block_size)
-            reports.append(train([scene], model, cfg))
+            reports.append(train(scene, model, cfg))
         rows.append(ComparisonRow(
             mode=cfg.loss_spec.mode,
             epe=_mean_or_none([r.report.epe for r in reports]),

@@ -57,6 +57,32 @@ def block_upsample(params, block):
             for y in range(h * block)]
 
 
+def footprint_weighted_mean(values, mass, block):
+    """Per coarse cell: sum of w * values over sum of w * mass, 0 where empty.
+
+    values is (H, W, 2) and mass is (H, W); w is the cell's bilinear weight at
+    each pixel under block_upsample's geometry.
+    """
+    h, w = len(mass) // block, len(mass[0]) // block
+    num = [[[0.0, 0.0] for _ in range(w)] for _ in range(h)]
+    den = [[0.0] * w for _ in range(h)]
+
+    def corners(i, n):
+        c = min(max((i + 0.5) / block - 0.5, 0.0), n - 1.0)
+        i0 = min(int(math.floor(c)), n - 1)
+        return ((i0, 1.0 - (c - i0)), (min(i0 + 1, n - 1), c - i0))
+
+    for y in range(h * block):
+        for x in range(w * block):
+            for i, wy in corners(y, h):
+                for j, wx in corners(x, w):
+                    for ch in range(2):
+                        num[i][j][ch] += wy * wx * values[y][x][ch]
+                    den[i][j] += wy * wx * mass[y][x]
+    return [[[num[i][j][ch] / den[i][j] if den[i][j] > 0 else 0.0 for ch in range(2)]
+             for j in range(w)] for i in range(h)]
+
+
 def cycle_check(fw, bw, gamma1, gamma2):
     """Per-pixel (numerator, denominator, target_in_bounds, matched) lists."""
     h, w = len(fw), len(fw[0])

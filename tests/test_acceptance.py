@@ -316,8 +316,8 @@ def test_criterion_7_training_directions():
 
     def run(mode):
         cfg = TrainConfig(steps=500, learning_rate=0.05,
-                          loss_spec=WeightSpec.flow_defaults(mode), seeds=seeds)
-        return [train([scene], BlockFlowModel(64, 64), cfg) for scene in scenes]
+                          loss_spec=WeightSpec.flow_defaults(mode))
+        return [train(scene, BlockFlowModel(64, 64), cfg) for scene in scenes]
 
     baseline = run("plain_l1")
     oa = run("oa")

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ masking,1.7078,1.7947,0.4035,25.0000,2
 mask_sum,1.7142,1.8034,0.3750,25.0000,2
 """
 
+PINNED_CACHED_COMPARISON = """\
+mode,epe,epe_matched,epe_unmatched,px3,seeds
+oa,1.7967,1.8986,0.2683,25.0000,1
+mask_sum,1.7879,1.8880,0.2858,25.0000,1
+"""
+PINNED_CACHED_REPORT = """\
+epe,px1,px3,px5,fl_all,s0_10,s10_40,s40plus,epe_matched,epe_unmatched,avg_err,\
+bad_0.5,bad_1,bad_2,bad_3,n_valid,n_matched,n_unmatched
+1.7967,25.0000,25.0000,25.0000,25.0000,1.7967,NA,NA,1.8986,0.2683,1.7967,\
+25.7568,25.0000,25.0000,25.0000,4096,3840,256
+"""
+
 
 class TestToytrain:
     def test_config_parser(self):
@@ -362,13 +375,18 @@ class TestToytrain:
         assert not out.exists()
 
     def test_divergence_is_data_error(self, tmp_path, capsys):
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("steps = 3\nmodes = plain_l1\nlearning_rate = 1e308\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        assert re.search(r"^confloss: error: training diverged at step \d+: ",
-                         capsys.readouterr().err, re.MULTILINE)
+        # The loss overflows in the first config, the cycle check in the second.
+        for text in ("steps = 3\nmodes = plain_l1\nlearning_rate = 1e308\n",
+                     "steps = 3\nmodes = oa, mask_sum\nlearning_rate = 1e300\n"):
+            cfg = tmp_path / "c.txt"
+            cfg.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy overflow warnings are noise here
+                code = main(["toytrain", "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "out")])
+            assert code == 1
+            assert re.fullmatch(r"confloss: error: training diverged at step 1: [^\n]+\n",
+                                capsys.readouterr().err), text
 
     @pytest.mark.parametrize("line, field", [
         ("noise_sigma = nan", "noise_sigma"),
@@ -396,6 +414,14 @@ class TestToytrain:
                        "modes = plain_l1, db, oa, sum, multiplication, masking, mask_sum\n")
         assert main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "comparison.csv").read_bytes() == PINNED_COMPARISON.encode()
+
+    def test_cached_weights_bytes_pinned(self, tmp_path, capsys):
+        # Weights rebuilt every third step, and no seeds key (scene seed 0).
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("steps = 30\nmodes = oa, mask_sum\nrecompute_confidence_every = 3\n")
+        assert main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "comparison.csv").read_bytes() == PINNED_CACHED_COMPARISON.encode()
+        assert (tmp_path / "report_oa_seed0.csv").read_bytes() == PINNED_CACHED_REPORT.encode()
 
     def test_square_motion_defaults_to_scene_spec(self, tmp_path, capsys):
         base = "steps = 3\nmodes = oa\n"

@@ -114,6 +114,21 @@ class TestBlockFlowModel:
             rhs = np.sum(p * model.upsample_transpose(g))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("h, w, block", UPSAMPLE_SHAPES)
+    def test_footprint_weighted_mean_matches_oracle(self, h, w, block):
+        model = BlockFlowModel(h, w, block)
+        rng = np.random.default_rng(2)
+        mass = rng.uniform(0.0, 1.0, size=(h, w))
+        mass[rng.uniform(size=(h, w)) < 0.3] = 0.0
+        mass[:2 * block, :2 * block] = 0.0  # no mass under coarse cell (0, 0)
+        values = mass[..., None] * rng.normal(size=(h, w, 2))
+        expected = np.array(oracles.footprint_weighted_mean(
+            values.tolist(), mass.tolist(), block))
+        got = model.footprint_weighted_mean(values, mass)
+        assert got.shape == model.params.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert (got[0, 0] == 0.0).all()
+
     def test_clone_is_independent(self):
         model = BlockFlowModel(16, 16, 4)
         other = model.clone()
@@ -123,7 +138,7 @@ class TestBlockFlowModel:
 
 def quick_config(mode="plain_l1", **kw):
     defaults = dict(steps=40, learning_rate=0.05,
-                    loss_spec=WeightSpec.flow_defaults(mode), seeds=(0,))
+                    loss_spec=WeightSpec.flow_defaults(mode))
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -133,25 +148,25 @@ class TestTrain:
         scene = synth_scene(SceneSpec(square_motion=(0.0, 0.0),
                                       background_motion=(0.0, 0.0),
                                       occluded_label_noise_sigma=0.0))
-        report = train([scene], BlockFlowModel(64, 64), quick_config(steps=500))
+        report = train(scene, BlockFlowModel(64, 64), quick_config(steps=500))
         assert report.report.epe < 1e-3
         assert report.loss_history[-1] < 1e-12
 
     def test_alpha_zero_reproduces_plain_bitexact(self):
         scene = synth_scene(SceneSpec(seed=1))
-        plain = train([scene], BlockFlowModel(64, 64), quick_config("plain_l1"))
+        plain = train(scene, BlockFlowModel(64, 64), quick_config("plain_l1"))
         for mode in ("db", "oa", "multiplication", "mask_sum"):
             spec = WeightSpec.flow_defaults(mode, alpha1=0.0, alpha2=0.0)
-            rerun = train([scene], BlockFlowModel(64, 64),
-                          quick_config(loss_spec=spec))
+            rerun = train(scene, BlockFlowModel(64, 64),
+                         quick_config(loss_spec=spec))
             assert rerun.loss_history == plain.loss_history
             np.testing.assert_array_equal(rerun.final_forward.data,
                                           plain.final_forward.data)
 
     def test_deterministic(self):
         scene = synth_scene(SceneSpec(seed=4))
-        a = train([scene], BlockFlowModel(64, 64), quick_config("oa"))
-        b = train([scene], BlockFlowModel(64, 64), quick_config("oa"))
+        a = train(scene, BlockFlowModel(64, 64), quick_config("oa"))
+        b = train(scene, BlockFlowModel(64, 64), quick_config("oa"))
         assert a.loss_history == b.loss_history
         np.testing.assert_array_equal(a.final_forward.data, b.final_forward.data)
         np.testing.assert_array_equal(a.final_m_oa.data, b.final_m_oa.data)
@@ -159,7 +174,7 @@ class TestTrain:
     def test_does_not_mutate_input_model(self):
         scene = synth_scene(SceneSpec(seed=0))
         model = BlockFlowModel(64, 64)
-        train([scene], model, quick_config(steps=5))
+        train(scene, model, quick_config(steps=5))
         assert (model.params == 0).all()
 
     def test_loss_non_increasing_at_small_lr(self):
@@ -169,22 +184,22 @@ class TestTrain:
         scene = synth_scene(SceneSpec(square_motion=(16.0, 0.0),
                                       background_motion=(8.0, 0.0),
                                       occluded_label_noise_sigma=0.0))
-        report = train([scene], BlockFlowModel(64, 64),
-                       quick_config(steps=500, learning_rate=0.01))
+        report = train(scene, BlockFlowModel(64, 64),
+                      quick_config(steps=500, learning_rate=0.01))
         diffs = np.diff(report.loss_history)
         assert (diffs <= 0).all()
 
     def test_divergence_is_reported_with_step(self):
         scene = synth_scene(SceneSpec(seed=0))
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
-            train([scene], BlockFlowModel(64, 64),
-                  quick_config(steps=5, learning_rate=1e308))
+            train(scene, BlockFlowModel(64, 64),
+                 quick_config(steps=5, learning_rate=1e308))
         assert err.value.step >= 1
 
     def test_snapshots_every_k_steps(self):
         scene = synth_scene(SceneSpec(seed=0))
-        report = train([scene], BlockFlowModel(64, 64),
-                       quick_config(steps=30, snapshot_every=10))
+        report = train(scene, BlockFlowModel(64, 64),
+                      quick_config(steps=30, snapshot_every=10))
         assert [s[0] for s in report.snapshots] == [10, 20, 30]
         for _, m_db, m_oa in report.snapshots:
             assert 0.0 <= m_db.data.min() and m_db.data.max() <= 1.0
@@ -193,9 +208,7 @@ class TestTrain:
     def test_scene_model_shape_mismatch(self):
         scene = synth_scene(SceneSpec(seed=0))
         with pytest.raises(ValueError):
-            train([scene], BlockFlowModel(32, 32), quick_config())
-        with pytest.raises(ValueError):
-            train([], BlockFlowModel(64, 64), quick_config())
+            train(scene, BlockFlowModel(32, 32), quick_config())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -204,10 +217,6 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(recompute_confidence_every=0)
-
-    def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError, match="seed 3 is repeated"):
-            TrainConfig(seeds=(3, 1, 3))
 
 
 class TestCompareRuns:
@@ -231,10 +240,9 @@ class TestCompareRuns:
         with pytest.raises(ValueError, match="differ only"):
             compare_runs([quick_config(steps=20), quick_config(steps=30)], [scene])
 
-    def test_one_scene_per_seed(self):
-        scene = synth_scene(SceneSpec(seed=0))
-        with pytest.raises(ValueError, match="scene per seed"):
-            compare_runs([quick_config(seeds=(0, 1))], [scene])
+    def test_no_scenes_rejected(self):
+        with pytest.raises(ValueError, match="no scenes"):
+            compare_runs([quick_config()], [])
 
     def test_row_labels_follow_modes(self):
         scene = synth_scene(SceneSpec(seed=0))
