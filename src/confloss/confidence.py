@@ -48,8 +48,8 @@ class CycleParams:
 def confidence_db_flow(pred: Grid2, gt: Grid2, valid: BinaryMask) -> ConfidenceMap:
     """Error-based confidence exp(-||gt - pred||^2); 0 on invalid pixels."""
     check_same_shape(pred, gt, valid)
-    err2 = np.sum((gt.data - pred.data) ** 2, axis=-1)
-    m = np.exp(-err2)
+    d = gt.data - pred.data
+    m = np.exp(-(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
     return Grid1(np.where(valid.data, m, 0.0))
 
 
@@ -72,8 +72,10 @@ def cycle_terms(f_fw: Grid2, f_bw: Grid2, params: CycleParams = CycleParams()):
     """
     check_same_shape(f_fw, f_bw)
     bw_at_target, target_valid = backward_warp(f_bw, f_fw)
-    num = np.sum((f_fw.data + bw_at_target.data) ** 2, axis=-1)
-    mag2 = np.sum(f_fw.data**2, axis=-1) + np.sum(bw_at_target.data**2, axis=-1)
+    fu, fv = f_fw.data[..., 0], f_fw.data[..., 1]
+    bu, bv = bw_at_target.data[..., 0], bw_at_target.data[..., 1]
+    num = (fu + bu) ** 2 + (fv + bv) ** 2
+    mag2 = (fu**2 + fv**2) + (bu**2 + bv**2)
     den = params.gamma1 * mag2 + params.gamma2
     return Grid1(num), Grid1(den), target_valid
 

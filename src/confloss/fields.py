@@ -149,28 +149,26 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     yc = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xc).astype(np.intp)
     y0 = np.floor(yc).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
     fx = xc - x0
     fy = yc - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
 
-    if data.ndim == 3:
-        fx = fx[..., None]
-        fy = fy[..., None]
-
-    v00 = data[y0, x0]
-    v01 = data[y0, x1]
-    v10 = data[y1, x0]
-    v11 = data[y1, x1]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    values = top * (1.0 - fy) + bot * fy
-
-    if data.ndim == 3:
-        values = np.where(inb[..., None], values, 0.0)
-    else:
-        values = np.where(inb, values, 0.0)
-    return values, inb
+    # Flat indices of the four corners; the +1 neighbours stop at the last
+    # column and row. Each channel is gathered from its own 1-D view.
+    step_x = x0 < w - 1
+    i00 = y0 * w + x0
+    i01 = i00 + step_x
+    i10 = i00 + w * (y0 < h - 1)
+    i11 = i10 + step_x
+    planes = data.reshape(h * w, -1)
+    values = []
+    for c in range(planes.shape[1]):
+        plane = planes[:, c]
+        top = plane.take(i00) * gx + plane.take(i01) * fx
+        bot = plane.take(i10) * gx + plane.take(i11) * fx
+        values.append(np.where(inb, top * gy + bot * fy, 0.0))
+    return (np.stack(values, axis=-1) if data.ndim == 3 else values[0]), inb
 
 
 def bilinear_sample(field: Grid2 | Grid1, x: float, y: float):

@@ -50,10 +50,12 @@ def read_flo(data: bytes):
     avail = (len(data) - 12) // 4
     if avail < n:
         raise FormatError("truncated", f"flo payload has {avail} floats, needs {n}")
-    raw = np.frombuffer(data, dtype="<f4", offset=12, count=n)
-    raw = raw.astype(np.float64).reshape(height, width, 2)
-    known = np.all(np.isfinite(raw) & (np.abs(raw) < FLO_SENTINEL), axis=-1)
-    return Grid2(np.where(known[..., None], raw, 0.0)), BinaryMask(known)
+    raw = np.frombuffer(data, dtype="<f4", offset=12, count=n).reshape(height, width, 2)
+    ok = np.abs(raw) < FLO_SENTINEL  # False for NaN and +-Inf as well
+    known = ok[..., 0] & ok[..., 1]
+    flow = raw.astype(np.float64)
+    flow[~known] = 0.0
+    return Grid2(flow), BinaryMask(known)
 
 
 def write_flo(flow: Grid2) -> bytes:

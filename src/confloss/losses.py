@@ -190,16 +190,11 @@ def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
         raise ValueError("no valid pixels: the mean loss is undefined")
 
     residual = gt.data - pred.data
-    if isinstance(pred, Grid2):
-        per_pixel = np.sum(np.abs(residual), axis=-1)
-        sgn = np.sign(residual)
-        grad_data = weights.data[..., None] * (-sgn)
-        grad_data = np.where(valid.data[..., None], grad_data, 0.0)
-        grad: Grid2 | Grid1 = Grid2(grad_data)
-    else:
-        per_pixel = np.abs(residual)
-        grad_data = weights.data * (-np.sign(residual))
-        grad = Grid1(np.where(valid.data, grad_data, 0.0))
+    # One (H, W) plane per component: u and v for flow, d for stereo.
+    planes = (residual[..., 0], residual[..., 1]) if isinstance(pred, Grid2) else (residual,)
+    per_pixel = sum(np.abs(r) for r in planes)
+    grads = [np.where(valid.data, weights.data * -np.sign(r), 0.0) for r in planes]
+    grad = Grid2(np.stack(grads, axis=-1)) if isinstance(pred, Grid2) else Grid1(grads[0])
 
     loss_map = np.where(valid.data, weights.data * per_pixel, 0.0)
     scalar = float(loss_map.sum() / n_valid)

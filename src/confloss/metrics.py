@@ -41,14 +41,16 @@ def epe_map(pred: Grid2 | Grid1, gt: Grid2 | Grid1) -> Grid1:
         raise ValueError("pred and gt must be the same grid type")
     check_same_shape(pred, gt)
     if isinstance(pred, Grid2):
-        return Grid1(np.sqrt(np.sum((pred.data - gt.data) ** 2, axis=-1)))
+        d = pred.data - gt.data
+        return Grid1(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
     return Grid1(np.abs(pred.data - gt.data))
 
 
 def magnitude_map(gt: Grid2 | Grid1) -> Grid1:
     """Euclidean magnitude of the ground-truth field."""
     if isinstance(gt, Grid2):
-        return Grid1(np.sqrt(np.sum(gt.data**2, axis=-1)))
+        u, v = gt.data[..., 0], gt.data[..., 1]
+        return Grid1(np.sqrt(u * u + v * v))
     return Grid1(np.abs(gt.data))
 
 

@@ -10,6 +10,7 @@ against the clean ground truth split by the analytic occlusion mask.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,6 +28,15 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, what: str):
         super().__init__(f"training diverged at step {step}: {what}")
         self.step = step
+
+
+@contextmanager
+def _diverges_at(step: int):
+    """Report a ValueError raised on a non-finite map as divergence at step."""
+    try:
+        yield
+    except ValueError as exc:
+        raise TrainingDivergedError(step, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -184,12 +194,12 @@ class BlockFlowModel:
                                 mass: np.ndarray) -> np.ndarray:
         """Per-cell weighted average of full-resolution values.
 
-        values is (H, W, 2) and mass is (H, W); the result divides the
-        scattered values by the scattered mass, cellwise, with empty cells
-        mapping to 0.
+        values is (H, W, 2) and mass is (H, W); both go through one
+        three-channel adjoint, and the result divides the scattered values by
+        the scattered mass, cellwise, with empty cells mapping to 0.
         """
-        num = self.upsample_transpose(values)
-        den = self.upsample_transpose(mass[..., None])
+        scattered = self.upsample_transpose(np.dstack((values, mass)))
+        num, den = scattered[..., :2], scattered[..., 2:]
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     def clone(self) -> "BlockFlowModel":
@@ -224,8 +234,6 @@ class TrainReport:
     report: MetricReport
     final_forward: Grid2
     final_backward: Grid2
-    final_m_db: Grid1
-    final_m_oa: Grid1
     snapshots: list[tuple[int, Grid1, Grid1]]
 
 
@@ -262,12 +270,10 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
             fw, bw = Grid2(fw_data), Grid2(bw_data)
 
             if step % config.recompute_confidence_every == 0:
-                try:
+                with _diverges_at(step):
                     w_fw = build_weights(spec, fw, scene.train_labels, scene.valid, backward=bw)
                     w_bw = build_weights(spec, bw, scene.train_labels_backward, scene.valid,
                                          backward=fw)
-                except ValueError as exc:
-                    raise TrainingDivergedError(step, str(exc)) from exc
 
             res_fw = weighted_l1(fw, scene.train_labels, w_fw, scene.valid)
             res_bw = weighted_l1(bw, scene.train_labels_backward, w_bw, scene.valid)
@@ -281,22 +287,25 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
                 res_bw.grad.data, np.where(scene.valid.data, w_bw.data, 0.0))
 
             if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
-                snapshots.append((step + 1,
-                                  confidence_db_flow(fw, scene.train_labels, scene.valid),
-                                  confidence_oa(fw, bw, spec.cycle)))
+                with _diverges_at(step):
+                    snapshots.append((step + 1,
+                                      confidence_db_flow(fw, scene.train_labels, scene.valid),
+                                      confidence_oa(fw, bw, spec.cycle)))
 
-    final_fw = Grid2(fw_model.upsample(fw_model.params))
-    final_bw = Grid2(bw_model.upsample(bw_model.params))
-    # Scored against the clean ground truth; matched region = not occluded.
-    report = full_report(final_fw, scene.gt_forward, scene.valid, region=~scene.occlusion)
+        # The final prediction has taken every step, so an overflow in it
+        # counts as divergence at step `steps`.
+        with _diverges_at(config.steps):
+            final_fw = Grid2(fw_model.upsample(fw_model.params))
+            final_bw = Grid2(bw_model.upsample(bw_model.params))
+            # Scored against the clean ground truth; matched region = not occluded.
+            report = full_report(final_fw, scene.gt_forward, scene.valid,
+                                 region=~scene.occlusion)
     return TrainReport(
         mode=spec.mode,
         loss_history=loss_history,
         report=report,
         final_forward=final_fw,
         final_backward=final_bw,
-        final_m_db=confidence_db_flow(final_fw, scene.train_labels, scene.valid),
-        final_m_oa=confidence_oa(final_fw, final_bw, spec.cycle),
         snapshots=snapshots,
     )
 

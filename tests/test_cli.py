@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -288,6 +289,94 @@ class TestReverseDisparity:
         np.testing.assert_array_equal(grid.data, [[2.0, 1.0]])
 
 
+def frame_inputs(tmp_path, task):
+    """A seeded 24x40 frame for `task`: (pred, backward) for two iterations and
+    the ground truth. Flow gt marks 6 pixels unknown with the 1e9 sentinel;
+    stereo backwards come from reverse-disparity on flipped estimates."""
+    rng = np.random.default_rng(20240)
+    h, w = 24, 40
+    if task == "flow":
+        gt = rng.normal(0.0, 2.0, (h, w, 2)).astype(np.float32)
+        gt[rng.integers(0, h, 6), rng.integers(0, w, 6), rng.integers(0, 2, 6)] = 1e9
+        files = []
+        for i in range(2):
+            fw = gt + rng.normal(0.0, 0.8, (h, w, 2)).astype(np.float32)
+            fw[gt >= 1e9] = 0.5
+            bw = -fw + rng.normal(0.0, 0.8, (h, w, 2)).astype(np.float32)
+            files.append((flo(tmp_path / f"fw{i}.flo", fw), flo(tmp_path / f"bw{i}.flo", bw)))
+        return files, flo(tmp_path / "gt.flo", gt)
+    gt = rng.uniform(1.0, 6.0, (h, w)).astype(np.float32)
+    files = []
+    for i in range(2):
+        fw = np.abs(gt + rng.normal(0.0, 0.8, (h, w))).astype(np.float32)
+        flipped = pfm(tmp_path / f"flip{i}.pfm",
+                      -np.abs(fw[:, ::-1] + rng.normal(0.0, 0.8, (h, w))).astype(np.float32))
+        bw = str(tmp_path / f"bw{i}.pfm")
+        assert main(["reverse-disparity", "--input", flipped, "--output", bw]) == 0
+        files.append((pfm(tmp_path / f"fw{i}.pfm", fw), bw))
+    return files, pfm(tmp_path / "gt.pfm", gt)
+
+
+# SHA-256 of every output of the frame pipeline (and of the printed loss),
+# recorded before the per-component rewrite of the sampler and cycle check.
+PINNED_FRAME_DIGESTS = {
+    "flow": {
+        "db.pfm": "32ed11edba16d10c7ef3598f33f5b6765c94b09050484135d202e8b8539d4f1a",
+        "db.pgm": "e10a15207093f27ea1e7ebeba80cb9544d8c10954d394349023a6c70832948d4",
+        "oa.pfm": "3afc965911fdba0d6c59775af2d9dabc43e1e2f9ee936db4fbcd7c33fc301dad",
+        "oa.pgm": "c47b867eda9f6e88634be9fe8cd632bf755cbded60b8090f1b2bd6061a1fd61a",
+        "occ.pgm": "a0a4b0451364265ab6592b469df58a3aadfae0a529ab6cbc33148723b7bdb4e0",
+        "weight.pfm": "436cf69c3882632ae6f668b762357aaf011508b15209b2a7386f9a68a78d1b68",
+        "loss.pfm": "27fbdc0315cd406820c8078bd60f3c74c341df747355642c951712e70af9e024",
+        "eval.csv": "b5557f06de01720eb19bd9dcaf403201f9a2c7a7bff3addeec262602af3f8d17",
+        "stdout": "1d66662fd27bb32bfbf86cf3f7a87dbd415d0b2874262bef92e317302a75c25b",
+    },
+    "stereo": {
+        "db.pfm": "0120e1f9eb4457c8fdd909f29cc9f03f80028ec23b3877fcc357905b0c908410",
+        "db.pgm": "7c4574eb535b7b21e17eb2a3d1da2800c84cf583ca995fe32ee53bdba67b07a8",
+        "oa.pfm": "1ec30b7fabb5aac7ca0fa2b6d588afd54ef1c71efc7ff216ad9ffa441a59ba4a",
+        "oa.pgm": "074fe4536ddf1994da5d530a79a33228b851b25e41f2e2edf5bf143f093747db",
+        "occ.pgm": "cba62fd95e3addb7601285b7d0e949b0d1089174b630289ea98c061f7e87fd55",
+        "weight.pfm": "e4a16a07f2cfc130cc5273700d52c03506d996c357aca6eb53ac122d616d30bd",
+        "loss.pfm": "09a20109ce115fb0d8f3a77f65b6b71a5e1ff520eb21c78e7d484cd610d0e7a7",
+        "eval.csv": "c3bdb2fc38f46fce285a6691fb4093aa800e5ce0a294e3822c71710f398647aa",
+        "stdout": "f53fab1d3c806a6a3998f7fe7e8189d4c8274d3474ac842ca9e9d5358c37ea48",
+        "bw0.pfm": "418e3e8576237e141df74ce175629749c3716d4b53f4868f4882201e64399eb2",
+        "bw1.pfm": "d6195bebd3420fa49ce366b6c5815b4e6b2af90f89cec93bcb9829b1ca424356",
+    },
+}
+
+
+class TestFramePipeline:
+    @pytest.mark.parametrize("task", ["flow", "stereo"])
+    def test_output_bytes_pinned(self, tmp_path, capsys, task):
+        files, gt = frame_inputs(tmp_path, task)
+        (fw, bw), o = files[-1], tmp_path
+        t = ["--task", task]
+        runs = [
+            ["confmap", "--mode", "db", *t, "--pred", fw, "--gt", gt,
+             "--out-pfm", str(o / "db.pfm"), "--out-pgm", str(o / "db.pgm")],
+            ["confmap", "--mode", "oa", *t, "--forward", fw, "--backward", bw,
+             "--out-pfm", str(o / "oa.pfm"), "--out-pgm", str(o / "oa.pgm")],
+            ["occmask", *t, "--forward", fw, "--backward", bw, "--out-pgm", str(o / "occ.pgm")],
+            ["loss", *t, "--mode", "mask_sum" if task == "flow" else "multiplication",
+             "--gt", gt, *(a for f, b in files for a in ("--pred", f, "--backward", b)),
+             "--out-weight-map", str(o / "weight.pfm"), "--out-loss-map", str(o / "loss.pfm")],
+            ["eval", *t, "--pred", fw, "--gt", gt, "--region", str(o / "occ.pgm"),
+             "--out", str(o / "eval.csv")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        outputs = {name: (o / name).read_bytes() for name in
+                   ("db.pfm", "db.pgm", "oa.pfm", "oa.pgm", "occ.pgm", "weight.pfm",
+                    "loss.pfm", "eval.csv")}
+        outputs["stdout"] = capsys.readouterr().out.replace(str(o), "").encode()
+        if task == "stereo":
+            outputs.update({f"bw{i}.pfm": (o / f"bw{i}.pfm").read_bytes() for i in range(2)})
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        assert digests == PINNED_FRAME_DIGESTS[task]
+
+
 TOY_CONFIG = """
 # desk-scale comparison
 height = 32
@@ -375,9 +464,13 @@ class TestToytrain:
         assert not out.exists()
 
     def test_divergence_is_data_error(self, tmp_path, capsys):
-        # The loss overflows in the first config, the cycle check in the second.
-        for text in ("steps = 3\nmodes = plain_l1\nlearning_rate = 1e308\n",
-                     "steps = 3\nmodes = oa, mask_sum\nlearning_rate = 1e300\n"):
+        # The overflow happens in: the loss; the cycle check of the weights; a
+        # snapshot's confidence maps; the final report, after the last step.
+        for text, step in (
+                ("steps = 3\nmodes = plain_l1\nlearning_rate = 1e308\n", 1),
+                ("steps = 3\nmodes = oa, mask_sum\nlearning_rate = 1e300\n", 1),
+                ("steps = 3\nmodes = plain_l1\nlearning_rate = 1e300\nsnapshot_every = 1\n", 1),
+                ("steps = 2\nmodes = plain_l1\nlearning_rate = 1e300\n", 2)):
             cfg = tmp_path / "c.txt"
             cfg.write_text(text)
             with warnings.catch_warnings():
@@ -385,7 +478,7 @@ class TestToytrain:
                 code = main(["toytrain", "--config", str(cfg),
                              "--out-dir", str(tmp_path / "out")])
             assert code == 1
-            assert re.fullmatch(r"confloss: error: training diverged at step 1: [^\n]+\n",
+            assert re.fullmatch(rf"confloss: error: training diverged at step {step}: [^\n]+\n",
                                 capsys.readouterr().err), text
 
     @pytest.mark.parametrize("line, field", [

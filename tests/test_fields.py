@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +18,7 @@ from confloss import (
     reverse_disparity_restore,
 )
 from confloss.confidence import cycle_terms
+from confloss.fields import sample_values
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, width=32)
 
@@ -99,6 +100,71 @@ class TestBilinearSample:
         expected = oracles.bilinear(arr.tolist(), x, y)
         assert got[1] == expected[1]
         assert got[0] == pytest.approx(expected[0], abs=1e-9)
+
+
+def fancy_index_sample(data, xs, ys):
+    """sample_values as first written, with 2-D fancy indexing and [..., None]
+    broadcasts; kept frozen so that rewrites must reproduce its bits."""
+    h, w = data.shape[:2]
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    inb = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+    xc = np.clip(xs, 0.0, w - 1.0)
+    yc = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xc).astype(np.intp)
+    y0 = np.floor(yc).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xc - x0
+    fy = yc - y0
+    if data.ndim == 3:
+        fx = fx[..., None]
+        fy = fy[..., None]
+    top = data[y0, x0] * (1.0 - fx) + data[y0, x1] * fx
+    bot = data[y1, x0] * (1.0 - fx) + data[y1, x1] * fx
+    values = top * (1.0 - fy) + bot * fy
+    if data.ndim == 3:
+        return np.where(inb[..., None], values, 0.0), inb
+    return np.where(inb, values, 0.0), inb
+
+
+def coordinates(n):
+    """Sample coordinates along an axis of n pixels: anywhere around the frame,
+    on the last pixel, or one ulp outside either edge."""
+    edges = [0.0, n - 1.0, np.nextafter(n - 1.0, np.inf), np.nextafter(0.0, -np.inf),
+             -1.0, float(n)]
+    return st.one_of(st.floats(-1.5, n + 0.5), st.sampled_from(edges))
+
+
+@st.composite
+def sampling_cases(draw):
+    """(data, xs, ys): (H, W) or (H, W, 2) data, 0-d or (R, C) coordinates."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shape = (h, w) if draw(st.booleans()) else (h, w, 2)
+    data = draw(arrays(np.float64, shape, elements=finite))
+    if draw(st.booleans()):
+        return data, np.float64(draw(coordinates(w))), np.float64(draw(coordinates(h)))
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    xs = np.array(draw(st.lists(coordinates(w), min_size=r * c, max_size=r * c)))
+    ys = np.array(draw(st.lists(coordinates(h), min_size=r * c, max_size=r * c)))
+    return data, xs.reshape(r, c), ys.reshape(r, c)
+
+
+class TestSampleValuesBits:
+    @given(sampling_cases())
+    @example((np.array([[1.0, 2.0]]), np.float64(1.0), np.float64(0.0)))
+    @example((np.array([[[5.0, -0.0]]]), np.array([[0.0, -1e-300, 0.0]]),
+              np.array([[0.0, 0.0, np.nextafter(0.0, 1.0)]])))
+    @example((np.array([[[1.0, -2.0]], [[3.0, 4.0]]]), np.array([0.0, 1e-300]),
+              np.array([1.0, np.nextafter(1.0, 2.0)])))
+    def test_equals_fancy_index_version(self, case):
+        data, xs, ys = case
+        got, got_inb = sample_values(data, xs, ys)
+        want, want_inb = fancy_index_sample(data, xs, ys)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got_inb, want_inb)
 
 
 class TestBackwardWarp:

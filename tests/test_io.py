@@ -67,6 +67,22 @@ class TestFlo:
         assert valid.data[1].all()
         assert (grid.data[0, 0] == 0).all() and (grid.data[0, 1] == 0).all()
 
+    def test_unknown_flow_per_component(self):
+        # Row 0 puts each value in u, row 1 in v; a pixel is known only when
+        # both of its components are finite and below the 1e9 sentinel.
+        below = float(np.nextafter(np.float32(1e9), np.float32(0)))  # 999999936
+        values = [np.nan, np.inf, -np.inf, 1e9, -1e9, below, -below, 1.5, -0.0]
+        raw = np.empty((2, len(values), 2), dtype="<f4")
+        raw[0, :, 0], raw[0, :, 1] = values, 0.25
+        raw[1, :, 0], raw[1, :, 1] = -0.5, values
+        blob = struct.pack("<fii", 202021.25, len(values), 2) + raw.tobytes()
+        grid, valid = read_flo(blob)
+        known = np.array([False] * 5 + [True] * 4)
+        np.testing.assert_array_equal(valid.data, [known, known])
+        expected = np.where(known[None, :, None], raw.astype(np.float64), 0.0)
+        np.testing.assert_array_equal(grid.data, expected)
+        assert np.array_equal(np.signbit(grid.data), np.signbit(expected))
+
     def test_bad_magic(self):
         with pytest.raises(FormatError) as err:
             read_flo(b"JUNK" + b"\x00" * 20)

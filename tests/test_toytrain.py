@@ -169,7 +169,7 @@ class TestTrain:
         b = train(scene, BlockFlowModel(64, 64), quick_config("oa"))
         assert a.loss_history == b.loss_history
         np.testing.assert_array_equal(a.final_forward.data, b.final_forward.data)
-        np.testing.assert_array_equal(a.final_m_oa.data, b.final_m_oa.data)
+        np.testing.assert_array_equal(a.final_backward.data, b.final_backward.data)
 
     def test_does_not_mutate_input_model(self):
         scene = synth_scene(SceneSpec(seed=0))
