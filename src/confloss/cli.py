@@ -23,9 +23,7 @@ from .confidence import (
     confidence_db_flow,
     confidence_db_stereo,
     confidence_oa,
-    confidence_oa_stereo,
     occlusion_mask,
-    occlusion_mask_stereo,
 )
 from .fields import BinaryMask, check_same_shape, reverse_disparity_restore
 from .losses import MODES, PLAIN_L1, SequenceParams, WeightSpec, sequence_loss
@@ -191,10 +189,7 @@ def cmd_confmap(args) -> int:
         fw, _ = _load_field(args.forward, args.task)
         bw, _ = _load_field(args.backward, args.task)
         _check_shapes((args.forward, fw), (args.backward, bw))
-        if args.task == FLOW:
-            conf = confidence_oa(fw, bw, spec.cycle)
-        else:
-            conf = confidence_oa_stereo(fw, bw, spec.cycle)
+        conf = confidence_oa(fw, bw, spec.cycle)
     if args.out_pfm:
         Path(args.out_pfm).write_bytes(fileio.write_pfm(conf))
     if args.out_pgm:
@@ -207,10 +202,7 @@ def cmd_occmask(args) -> int:
     fw, _ = _load_field(args.forward, args.task)
     bw, _ = _load_field(args.backward, args.task)
     _check_shapes((args.forward, fw), (args.backward, bw))
-    if args.task == FLOW:
-        mask = occlusion_mask(fw, bw, spec.cycle)
-    else:
-        mask = occlusion_mask_stereo(fw, bw, spec.cycle)
+    mask = occlusion_mask(fw, bw, spec.cycle)
     Path(args.out_pgm).write_bytes(fileio.write_pgm(mask))
     return 0
 

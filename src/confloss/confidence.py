@@ -2,8 +2,8 @@
 
 Two kinds of confidence are computed: an error-based map from prediction vs
 ground truth, and a forward-backward (cycle) consistency map from a pair of
-opposing correspondence fields. The same machinery serves optical flow and
-rectified stereo; disparities are embedded as horizontal flows first.
+opposing correspondence fields. One cycle check serves optical flow (a Grid2
+pair) and rectified stereo (a Grid1 pair of disparities, moving along rows).
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    LEFT_TO_RIGHT,
-    RIGHT_TO_LEFT,
     BinaryMask,
     ConfidenceMap,
     Grid1,
     Grid2,
-    backward_warp,
     check_finite,
     check_same_shape,
-    disparity_to_flow,
+    coordinate_grids,
+    sample_values,
+    warn_negative_disparity,
 )
 
 
@@ -60,24 +59,39 @@ def confidence_db_stereo(pred: Grid1, gt: Grid1, valid: BinaryMask) -> Confidenc
     return Grid1(np.where(valid.data, m, 0.0))
 
 
-def cycle_terms(f_fw: Grid2, f_bw: Grid2, params: CycleParams = CycleParams()):
-    """Pointwise terms of the consistency check.
+def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
+                params: CycleParams = CycleParams()):
+    """Pointwise terms of the consistency check for a flow or a stereo pair.
 
-    numerator(x)   = ||f_fw(x) + f_bw(x + f_fw(x))||^2
-    denominator(x) = gamma1 * (||f_fw(x)||^2 + ||f_bw(x + f_fw(x))||^2) + gamma2
+    numerator(x)   = ||f(x) + b(x + f(x))||^2
+    denominator(x) = gamma1 * (||f(x)||^2 + ||b(x + f(x))||^2) + gamma2
 
-    The backward field is sampled bilinearly at the warp target; pixels whose
-    target falls off-frame are reported in target_valid as False (the sampled
-    value there is 0, so the terms are still finite).
+    A Grid2 pair is (forward flow f, backward flow b). A Grid1 pair is
+    (d_lr, d_rl) with d_rl restored to the right image's frame (see
+    reverse_disparity_restore): f = -d_lr and b = d_rl along x, rows stay
+    fixed, and a negative entry in either map raises a RuntimeWarning.
+    b is sampled bilinearly at the warp target; pixels whose target falls
+    off-frame are reported in target_valid as False (the sampled value there
+    is 0, so the terms are still finite).
     """
-    check_same_shape(f_fw, f_bw)
-    bw_at_target, target_valid = backward_warp(f_bw, f_fw)
-    fu, fv = f_fw.data[..., 0], f_fw.data[..., 1]
-    bu, bv = bw_at_target.data[..., 0], bw_at_target.data[..., 1]
-    num = (fu + bu) ** 2 + (fv + bv) ** 2
-    mag2 = (fu**2 + fv**2) + (bu**2 + bv**2)
+    if type(f_fw) is not type(f_bw):
+        raise ValueError("f_fw and f_bw must be the same grid type")
+    h, w = check_same_shape(f_fw, f_bw)
+    xs, ys = coordinate_grids(h, w)
+    if isinstance(f_fw, Grid2):
+        fw = (f_fw.data[..., 0], f_fw.data[..., 1])
+        ys = ys + fw[1]
+    else:
+        warn_negative_disparity(f_fw)
+        warn_negative_disparity(f_bw)
+        fw = (-f_fw.data,)
+    sampled, target_valid = sample_values(f_bw.data, xs + fw[0], ys)
+    bw = (sampled[..., 0], sampled[..., 1]) if sampled.ndim == 3 else (sampled,)
+    # Sums over the component planes: u and v for flow, x alone for stereo.
+    num = sum((f + b) ** 2 for f, b in zip(fw, bw))
+    mag2 = sum(f**2 for f in fw) + sum(b**2 for b in bw)
     den = params.gamma1 * mag2 + params.gamma2
-    return Grid1(num), Grid1(den), target_valid
+    return Grid1(num), Grid1(den), BinaryMask(target_valid)
 
 
 def matched_from_terms(num: Grid1, den: Grid1, target_valid: BinaryMask) -> BinaryMask:
@@ -99,24 +113,13 @@ def confidence_from_terms(num: Grid1, den: Grid1,
     return Grid1(np.where(target_valid.data, m, 0.0))
 
 
-def stereo_as_flows(d_lr: Grid1, d_rl: Grid1) -> tuple[Grid2, Grid2]:
-    """Embed a rectified stereo pair as opposing horizontal flows.
-
-    d_rl must already be restored to the right image's frame (see
-    reverse_disparity_restore), with nonnegative values. The vertical
-    components are identically zero under the rectified assumption.
-    """
-    check_same_shape(d_lr, d_rl)
-    return disparity_to_flow(d_lr, LEFT_TO_RIGHT), disparity_to_flow(d_rl, RIGHT_TO_LEFT)
-
-
-def occlusion_mask(f_fw: Grid2, f_bw: Grid2,
+def occlusion_mask(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                    params: CycleParams = CycleParams()) -> BinaryMask:
     """True = matched (cycle-consistent), False = occluded; see matched_from_terms."""
     return matched_from_terms(*cycle_terms(f_fw, f_bw, params))
 
 
-def confidence_oa(f_fw: Grid2, f_bw: Grid2,
+def confidence_oa(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                   params: CycleParams = CycleParams()) -> ConfidenceMap:
     """Cycle-consistency confidence; see confidence_from_terms."""
     return confidence_from_terms(*cycle_terms(f_fw, f_bw, params))
@@ -124,11 +127,11 @@ def confidence_oa(f_fw: Grid2, f_bw: Grid2,
 
 def occlusion_mask_stereo(d_lr: Grid1, d_rl: Grid1,
                           params: CycleParams = CycleParams()) -> BinaryMask:
-    """Consistency mask for a rectified stereo pair (see stereo_as_flows)."""
-    return occlusion_mask(*stereo_as_flows(d_lr, d_rl), params)
+    """occlusion_mask of a rectified stereo pair, d_rl restored (see cycle_terms)."""
+    return occlusion_mask(d_lr, d_rl, params)
 
 
 def confidence_oa_stereo(d_lr: Grid1, d_rl: Grid1,
                          params: CycleParams = CycleParams()) -> ConfidenceMap:
-    """Cycle-consistency confidence from the two disparity maps (see stereo_as_flows)."""
-    return confidence_oa(*stereo_as_flows(d_lr, d_rl), params)
+    """confidence_oa of a rectified stereo pair, d_rl restored (see cycle_terms)."""
+    return confidence_oa(d_lr, d_rl, params)

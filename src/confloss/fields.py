@@ -1,5 +1,6 @@
 """Dense grid types and geometric primitives: bilinear sampling, backward
-warping, horizontal flips, and the disparity <-> flow embedding.
+warping, horizontal flips, the reverse-disparity restore and
+disparity_to_flow.
 
 All grids are row-major with (row y, column x) indexing, x horizontal.
 Values are immutable after construction, so they are safe to share across
@@ -220,6 +221,13 @@ def reverse_disparity_restore(d_flipped_estimate: Grid1) -> Grid1:
     return Grid1(-d_flipped_estimate.data[:, ::-1])
 
 
+def warn_negative_disparity(d: Grid1) -> None:
+    """RuntimeWarning if d has negative entries, reported at the caller's caller."""
+    if np.any(d.data < 0):
+        warnings.warn("disparity map contains negative entries", RuntimeWarning,
+                      stacklevel=3)
+
+
 LEFT_TO_RIGHT = "left_to_right"
 RIGHT_TO_LEFT = "right_to_left"
 
@@ -233,9 +241,7 @@ def disparity_to_flow(d: Grid1, direction: str) -> Grid2:
     """
     if direction not in (LEFT_TO_RIGHT, RIGHT_TO_LEFT):
         raise ValueError(f"unknown direction {direction!r}")
-    if np.any(d.data < 0):
-        warnings.warn("disparity map contains negative entries", RuntimeWarning,
-                      stacklevel=2)
+    warn_negative_disparity(d)
     sign = -1.0 if direction == LEFT_TO_RIGHT else 1.0
     out = np.zeros((d.height, d.width, 2))
     out[..., 0] = sign * d.data

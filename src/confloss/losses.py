@@ -30,7 +30,6 @@ from .confidence import (
     confidence_from_terms,
     cycle_terms,
     matched_from_terms,
-    stereo_as_flows,
 )
 from .fields import BinaryMask, ConfidenceMap, Grid1, Grid2, check_finite, check_same_shape
 
@@ -149,17 +148,17 @@ def weight_oa(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
     return Grid1(1.0 + alpha * data**beta)
 
 
-def weight_combine(m_db: ConfidenceMap, m_oa: ConfidenceMap | None, hard: BinaryMask,
-                   spec: WeightSpec) -> Grid1:
+def weight_combine(m_db: ConfidenceMap, m_oa: ConfidenceMap | None,
+                   hard: BinaryMask | None, spec: WeightSpec) -> Grid1:
     """Combined weight map for the four combination modes.
 
-    m_oa may be None for masking, the one combination without the oa term;
-    hard is ignored by the modes without H.
+    m_oa may be None for masking, the one combination without the oa term,
+    and hard may be None for sum and multiplication, the two without H.
     """
     if spec.mode not in COMBINATION_MODES:
         raise ValueError(f"mode {spec.mode!r} is not a combination mode")
     uses = _FACTORS[spec.mode]
-    if "oa" in uses and m_oa is None:
+    if ("oa" in uses and m_oa is None) or ("hard" in uses and hard is None):
         raise ValueError(f"mode {spec.mode!r} needs the cycle-based map")
     check_same_shape(*(g for g in (m_db, m_oa, hard) if g is not None))
     db_term = spec.alpha1 * (1.0 - _check_unit_range(m_db)) ** spec.beta1
@@ -223,9 +222,7 @@ def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
     if spec.needs_backward:
         if backward is None:
             raise ValueError(f"mode {spec.mode!r} needs a backward field")
-        check_same_shape(pred, backward)
-        flows = stereo_as_flows(pred, backward) if stereo else (pred, backward)
-        terms = cycle_terms(*flows, spec.cycle)
+        terms = cycle_terms(pred, backward, spec.cycle)
         if "oa" in uses:
             m_oa = confidence_from_terms(*terms)
         if "hard" in uses:
@@ -235,8 +232,6 @@ def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
         return weight_db(m_db, spec.alpha1, spec.beta1)
     if spec.mode == OA:
         return weight_oa(m_oa, spec.alpha2, spec.beta2)
-    if hard is None:  # sum and multiplication do not use H
-        hard = BinaryMask.full(h, w, True)
     return weight_combine(m_db, m_oa, hard, spec)
 
 
@@ -261,9 +256,10 @@ def sequence_loss(preds: Sequence[Grid2 | Grid1], gt: Grid2 | Grid1,
     """
     if len(preds) == 0:
         raise ValueError("empty prediction list")
-    if spec.needs_backward:
-        if backwards is None or len(backwards) != len(preds):
-            raise ValueError(f"mode {spec.mode!r} needs one backward field per prediction")
+    if spec.needs_backward and backwards is None:
+        raise ValueError(f"mode {spec.mode!r} needs one backward field per prediction")
+    if backwards is not None and len(backwards) != len(preds):
+        raise ValueError(f"{len(backwards)} backward fields for {len(preds)} predictions")
     n = len(preds)
     per_iteration = []
     total = 0.0

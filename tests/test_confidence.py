@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from confloss import (
     BinaryMask,
+    LEFT_TO_RIGHT,
+    RIGHT_TO_LEFT,
     CycleParams,
     Grid1,
     Grid2,
@@ -17,6 +20,7 @@ from confloss import (
     confidence_oa,
     confidence_oa_stereo,
     cycle_terms,
+    disparity_to_flow,
     occlusion_mask,
 )
 
@@ -27,6 +31,22 @@ def flow_pairs(max_side=8):
     return st.tuples(st.integers(1, max_side), st.integers(1, max_side)).flatmap(
         lambda hw: st.tuples(arrays(np.float64, (hw[0], hw[1], 2), elements=flows),
                              arrays(np.float64, (hw[0], hw[1], 2), elements=flows)))
+
+
+def _stereo_pair(hw):
+    h, w = hw
+    # Warp targets x - d_lr on the frame edges, one ulp outside them, and
+    # anywhere from left of the frame to right of it (negative disparities).
+    edges = [0.0, w - 1.0, -5e-324, np.nextafter(w - 1.0, np.inf)]
+    targets = st.one_of(st.sampled_from(edges), st.floats(-2.0, w + 1.0))
+    xs = np.arange(w, dtype=np.float64)
+    return st.tuples(arrays(np.float64, hw, elements=targets).map(lambda t: xs - t),
+                     arrays(np.float64, hw, elements=st.floats(-1.0, 10.0, width=32)))
+
+
+def stereo_pairs(max_side=8):
+    """(d_lr, d_rl) arrays; d_lr is drawn through its warp targets."""
+    return st.tuples(st.integers(1, max_side), st.integers(1, max_side)).flatmap(_stereo_pair)
 
 
 class TestCycleParams:
@@ -215,3 +235,38 @@ class TestStereoCycleConfidence:
                                  disparity_to_flow(d_rl, RIGHT_TO_LEFT))
         np.testing.assert_array_equal(confidence_oa_stereo(d_lr, d_rl).data,
                                       via_flow.data)
+
+    @given(stereo_pairs())
+    @example((np.zeros((1, 1)), np.zeros((1, 1))))             # target 0 = w-1
+    @example((np.full((1, 1), 5e-324), np.zeros((1, 1))))      # one ulp left of 0
+    @example((np.full((1, 1), -5e-324), np.ones((1, 1))))      # one ulp right of w-1
+    @example((np.array([[0.0, 1.0, 2.0], [-2.0, -1.0, 0.0]]),  # targets 0, then w-1
+              np.array([[0.5, 1.0, -1.0], [2.0, 0.0, 3.0]])))
+    @example((np.array([[5e-324, 1.0, -np.spacing(2.0)]]),     # one ulp outside both edges
+              np.array([[0.0, 1.0, 2.0]])))
+    def test_terms_equal_embedded_path(self, pair):
+        d_lr, d_rl = Grid1(pair[0]), Grid1(pair[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # negative disparities
+            got = cycle_terms(d_lr, d_rl)
+            want = cycle_terms(disparity_to_flow(d_lr, LEFT_TO_RIGHT),
+                               disparity_to_flow(d_rl, RIGHT_TO_LEFT))
+        for g, e in zip(got, want):
+            assert np.array_equal(g.data, e.data)
+
+    @pytest.mark.parametrize("negative", (("d_lr",), ("d_rl",), ("d_lr", "d_rl")))
+    def test_negative_disparity_warns_once_per_map(self, negative):
+        maps = {name: Grid1.full(2, 3, -1.0 if name in negative else 1.0)
+                for name in ("d_lr", "d_rl")}
+        with pytest.warns(RuntimeWarning, match="disparity map contains negative entries") as rec:
+            confidence_oa_stereo(maps["d_lr"], maps["d_rl"])
+        assert len(rec) == len(negative)
+
+
+class TestMixedPairs:
+    @pytest.mark.parametrize("check", (cycle_terms, confidence_oa, occlusion_mask))
+    @pytest.mark.parametrize("pair", ((Grid2.zeros(3, 3), Grid1.zeros(3, 3)),
+                                      (Grid1.zeros(3, 3), Grid2.zeros(3, 3))))
+    def test_rejected(self, check, pair):
+        with pytest.raises(ValueError, match="same grid type"):
+            check(*pair)

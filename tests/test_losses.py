@@ -88,6 +88,20 @@ class TestWeightCombine:
                            BinaryMask.full(1, 1), spec)
         assert w.data[0, 0] == 5.0
 
+    @pytest.mark.parametrize("mode", ("sum", "multiplication"))
+    def test_hard_may_be_none_without_h(self, mode):
+        rng = np.random.default_rng(41)
+        m_db, m_oa = Grid1(rng.random((3, 4))), Grid1(rng.random((3, 4)))
+        spec = spec_for(mode)
+        np.testing.assert_array_equal(
+            weight_combine(m_db, m_oa, None, spec).data,
+            weight_combine(m_db, m_oa, BinaryMask.full(3, 4, False), spec).data)
+
+    @pytest.mark.parametrize("mode", ("masking", "mask_sum"))
+    def test_modes_with_h_need_hard(self, mode):
+        with pytest.raises(ValueError, match="cycle-based"):
+            weight_combine(Grid1.zeros(1, 1), Grid1.zeros(1, 1), None, spec_for(mode))
+
     def test_rejects_standalone_mode(self):
         with pytest.raises(ValueError):
             weight_combine(Grid1.zeros(1, 1), Grid1.zeros(1, 1),
@@ -204,8 +218,8 @@ def test_gradient_matches_finite_differences(mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_build_weights_matches_oracles(mode, task, monkeypatch):
     """Every pixel of the composed weight map against the brute-force oracles,
-    with stereo disparities embedded as horizontal flows; one cycle check
-    (one backward warp) per weight map."""
+    which check stereo disparities as horizontal flows; one cycle check (one
+    bilinear sample of the backward field) per weight map."""
     rng = np.random.default_rng(37)
     h, w = 6, 7
     valid = BinaryMask(rng.random((h, w)) > 0.2)
@@ -234,13 +248,21 @@ def test_build_weights_matches_oracles(mode, task, monkeypatch):
                                 spec.alpha1, spec.beta1, spec.alpha2, spec.beta2)
                  for x in range(w)] for y in range(h)]
 
-    warps = []
-    real_warp = confidence_module.backward_warp
-    monkeypatch.setattr(confidence_module, "backward_warp",
-                        lambda *args: warps.append(1) or real_warp(*args))
+    samples = []
+    real_sample = confidence_module.sample_values
+    monkeypatch.setattr(confidence_module, "sample_values",
+                        lambda *args: samples.append(1) or real_sample(*args))
     weights = build_weights(spec, pred, gt, valid, backward=bw)
     np.testing.assert_allclose(weights.data, expected, rtol=0, atol=1e-12)
-    assert len(warps) == (1 if spec.needs_backward else 0)
+    assert len(samples) == (1 if spec.needs_backward else 0)
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if spec_for(m).needs_backward])
+@pytest.mark.parametrize("pred, backward", ((Grid2.zeros(3, 3), Grid1.zeros(3, 3)),
+                                            (Grid1.zeros(3, 3), Grid2.zeros(3, 3))))
+def test_build_weights_rejects_mixed_pair(mode, pred, backward):
+    with pytest.raises(ValueError, match="same grid type"):
+        build_weights(spec_for(mode), pred, pred, BinaryMask.full(3, 3), backward=backward)
 
 
 class TestModeIdentities:
@@ -350,6 +372,14 @@ class TestSequenceLoss:
         with pytest.raises(ValueError):
             sequence_loss([pred, pred], pred, BinaryMask.full(1, 1),
                           spec_for("oa"), backwards=[pred])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_backward_list_length_checked_in_every_mode(self, mode):
+        pred = Grid2.zeros(1, 1)
+        for n_backward in (1, 3):
+            with pytest.raises(ValueError, match=f"{n_backward} backward fields for 2"):
+                sequence_loss([pred, pred], pred, BinaryMask.full(1, 1),
+                              spec_for(mode), backwards=[pred] * n_backward)
 
     def test_gamma_seq_validation(self):
         with pytest.raises(ValueError):
