@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from confloss import (
-    BinaryMask,
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
+    BinaryMask,
     CycleParams,
     Grid1,
     Grid2,
