@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import fileio
@@ -270,23 +270,28 @@ def cmd_reverse_disparity(args) -> int:
 # ---------------------------------------------------------------------------
 # toytrain config files: UTF-8 lines of "key = value", "#" comments.
 
-# key -> (value kind, what it configures). A key sets the field of the same
-# name (noise_sigma: occluded_label_noise_sigma) of SceneSpec ("scene"),
-# TrainConfig ("train"), WeightSpec ("weights"), CycleParams ("cycle") or the
-# compare_runs argument ("run"); "seeds" and "modes" list the scene seeds and
-# loss modes to compare. Absent keys keep the library's defaults.
+def _vec2(text: str) -> tuple[float, float]:
+    parts = [float(v) for v in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated numbers")
+    return parts[0], parts[1]
+
+
+# key -> (parser, owner, field). Each int, float or 2-tuple field of SceneSpec,
+# TrainConfig, WeightSpec and CycleParams but the scene seed is the key of its
+# name (noise_sigma: occluded_label_noise_sigma), parsed after its default. The
+# keys without an owner are compare_runs' block_size and the lists of scene
+# seeds and loss modes. Absent keys keep the library's defaults.
+_PARSERS = {int: int, float: float, tuple: _vec2}
+_LISTS = {"seeds": lambda text: tuple(int(v) for v in text.split(",")),
+          "modes": lambda text: tuple(v.strip() for v in text.split(","))}
 _TOY_KEYS = {
-    "height": (int, "scene"), "width": (int, "scene"), "square_size": (int, "scene"),
-    "square_motion": ("vec2", "scene"), "background_motion": ("vec2", "scene"),
-    "noise_sigma": (float, "scene"), "steps": (int, "train"),
-    "learning_rate": (float, "train"), "block_size": (int, "run"),
-    "seeds": ("ints", "seeds"), "modes": ("names", "modes"),
-    "alpha1": (float, "weights"), "beta1": (float, "weights"),
-    "alpha2": (float, "weights"), "beta2": (float, "weights"),
-    "gamma1": (float, "cycle"), "gamma2": (float, "cycle"),
-    "recompute_confidence_every": (int, "train"), "snapshot_every": (int, "train"),
+    {"occluded_label_noise_sigma": "noise_sigma"}.get(f.name, f.name):
+        (_PARSERS[type(f.default)], owner, f.name)
+    for owner in (SceneSpec, TrainConfig, WeightSpec, CycleParams) for f in fields(owner)
+    if type(f.default) in _PARSERS and f.name != "seed"
 }
-_TOY_FIELDS = {"noise_sigma": "occluded_label_noise_sigma"}
+_TOY_KEYS.update((key, (parse, None, key)) for key, parse in {"block_size": int, **_LISTS}.items())
 
 
 def parse_toy_config(text: str) -> dict:
@@ -300,22 +305,13 @@ def parse_toy_config(text: str) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _TOY_KEYS:
             raise DataError(f"config line {lineno}: unknown key {key!r}")
-        kind = _TOY_KEYS[key][0]
+        if key in values:
+            raise DataError(f"config line {lineno}: key {key!r} is repeated")
         try:
-            if kind == "vec2":
-                parts = [float(v) for v in value.split(",")]
-                if len(parts) != 2:
-                    raise ValueError("expected two comma-separated numbers")
-                values[key] = (parts[0], parts[1])
-            elif kind == "ints":
-                values[key] = tuple(int(v) for v in value.split(","))
-            elif kind == "names":
-                values[key] = tuple(v.strip() for v in value.split(","))
-            else:
-                values[key] = kind(value)
+            values[key] = _TOY_KEYS[key][0](value)
         except ValueError as exc:
             raise DataError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
-        if kind in ("ints", "names"):
+        if key in _LISTS:
             for v in values[key]:
                 if values[key].count(v) > 1:
                     raise DataError(f"config line {lineno}: {v!r} is repeated in {key!r}")
@@ -328,22 +324,23 @@ def cmd_toytrain(args) -> int:
     except OSError as exc:
         raise DataError(f"{args.config}: {exc}") from exc
     cfg = parse_toy_config(text)
-    given = defaultdict(dict)
+    given = defaultdict(dict)  # owner -> {field: value}
     for key, value in cfg.items():
-        given[_TOY_KEYS[key][1]][_TOY_FIELDS.get(key, key)] = value
+        _, owner, name = _TOY_KEYS[key]
+        given[owner][name] = value
 
     try:
-        scene_spec = SceneSpec(**given["scene"])
+        scene_spec = SceneSpec(**given[SceneSpec])
         modes = cfg.get("modes", ("plain_l1", "db", "oa", "multiplication"))
-        cycle = CycleParams(**given["cycle"])
+        cycle = CycleParams(**given[CycleParams])
         configs = [
-            TrainConfig(loss_spec=WeightSpec.flow_defaults(mode, cycle=cycle, **given["weights"]),
-                        **given["train"])
+            TrainConfig(loss_spec=WeightSpec.flow_defaults(mode, cycle=cycle, **given[WeightSpec]),
+                        **given[TrainConfig])
             for mode in modes
         ]
         scenes = [synth_scene(replace(scene_spec, seed=s))
                   for s in cfg.get("seeds", (scene_spec.seed,))]
-        rows = compare_runs(configs, scenes, **given["run"])
+        rows = compare_runs(configs, scenes, cfg.get("block_size", BLOCK_SIZE))
     except (ValueError, TrainingDivergedError) as exc:
         raise DataError(str(exc)) from exc
 

@@ -86,9 +86,10 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def read_pfm(data: bytes):
     """Parse a scalar PFM ("Pf") byte string.
 
-    Handles both endiannesses (negative scale = little-endian); rows are
-    stored bottom-to-top. Returns (grid, valid) with non-finite samples
-    mapped to 0 / invalid, mirroring read_flo.
+    Handles both endiannesses (negative scale = little-endian; a zero or
+    non-finite scale is a bad header); rows are stored bottom-to-top.
+    Returns (grid, valid) with non-finite samples mapped to 0 / invalid,
+    mirroring read_flo.
     """
     try:
         kind, pos = _next_token(data, 0)
@@ -111,6 +112,8 @@ def read_pfm(data: bytes):
         raise FormatError("bad_dimensions", f"nonpositive PFM dimensions {width}x{height}")
     if scale == 0:
         raise FormatError("bad_header", "PFM scale must be nonzero")
+    if not np.isfinite(scale):
+        raise FormatError("bad_header", f"PFM scale must be finite, got {stok!r}")
     pos += 1  # exactly one whitespace byte separates the header from the data
     endian = "<" if scale < 0 else ">"
     n = height * width

@@ -55,7 +55,7 @@ _FACTORS = {
     MASK_SUM: {"db", "oa", "hard"},
 }
 MODES = tuple(_FACTORS)
-COMBINATION_MODES = (SUM, MULTIPLICATION, MASKING, MASK_SUM)
+COMBINATION_MODES = tuple(mode for mode, factors in _FACTORS.items() if len(factors) > 1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ against the clean ground truth split by the analytic occlusion mask.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -104,44 +104,41 @@ def _inside(xs, ys, x_lo, y_lo, size):
     return (xs >= x_lo) & (xs < x_lo + size) & (ys >= y_lo) & (ys < y_lo + size)
 
 
+def _frame(xs, ys, size, corners, motion, background):
+    """Flow and occlusion of a frame whose square moves from corners[0] to corners[1].
+
+    A background pixel is occluded when its target lands under the moved square.
+    """
+    in_square = _inside(xs, ys, *corners[0], size)
+    occluded = ~in_square & _inside(xs + background[0], ys + background[1], *corners[1], size)
+    return np.where(in_square[..., None], motion, background), occluded
+
+
 def synth_scene(spec: SceneSpec) -> Scene:
     """Generate the analytic flows, occlusion masks, and noisy labels."""
-    h, w, s = spec.height, spec.width, spec.square_size
-    mx, my = spec.square_motion
-    bx, by = spec.background_motion
-    x0, y0 = spec.square_origin
+    h, w = spec.height, spec.width
+    motion = np.array(spec.square_motion, dtype=np.float64)
+    background = np.array(spec.background_motion, dtype=np.float64)
+    # Frame-1 and frame-2 corners; the backward frame runs from the second back.
+    corners = (spec.square_origin, tuple(spec.square_origin + motion))
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-
-    in_sq1 = _inside(xs, ys, x0, y0, s)
-    in_sq2 = _inside(xs, ys, x0 + mx, y0 + my, s)
-
-    fw = np.empty((h, w, 2))
-    fw[..., 0] = np.where(in_sq1, mx, bx)
-    fw[..., 1] = np.where(in_sq1, my, by)
-    bw = np.empty((h, w, 2))
-    bw[..., 0] = np.where(in_sq2, -mx, -bx)
-    bw[..., 1] = np.where(in_sq2, -my, -by)
-
-    # Covered this frame's background pixel -> no correspondence forward.
-    occ_fw = ~in_sq1 & _inside(xs + bx, ys + by, x0 + mx, y0 + my, s)
-    # Revealed in frame 2: its backward target sits under the frame-1 square.
-    occ_bw = ~in_sq2 & _inside(xs - bx, ys - by, x0, y0, s)
+    frames = (_frame(xs, ys, spec.square_size, corners, motion, background),
+              _frame(xs, ys, spec.square_size, corners[::-1], -motion, -background))
 
     rng = np.random.default_rng(spec.seed)
     sigma = spec.occluded_label_noise_sigma
-    labels_fw = fw + np.where(occ_fw[..., None], rng.normal(0.0, sigma, (h, w, 2))
-                              if sigma > 0 else 0.0, 0.0)
-    labels_bw = bw + np.where(occ_bw[..., None], rng.normal(0.0, sigma, (h, w, 2))
-                              if sigma > 0 else 0.0, 0.0)
+    labels = [flow + np.where(occluded[..., None], rng.normal(0.0, sigma, (h, w, 2))
+                              if sigma > 0 else 0.0, 0.0) for flow, occluded in frames]
 
+    (fw, occ_fw), (bw, occ_bw) = frames
     return Scene(
         spec=spec,
         gt_forward=Grid2(fw),
         gt_backward=Grid2(bw),
         occlusion=BinaryMask(occ_fw),
-        train_labels=Grid2(labels_fw),
+        train_labels=Grid2(labels[0]),
         valid=BinaryMask.full(h, w, True),
-        train_labels_backward=Grid2(labels_bw),
+        train_labels_backward=Grid2(labels[1]),
         occlusion_backward=BinaryMask(occ_bw),
     )
 
@@ -203,8 +200,7 @@ class BlockFlowModel:
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     def clone(self) -> "BlockFlowModel":
-        return BlockFlowModel(self.height, self.width, self.block_size,
-                              params=self.params.copy())
+        return BlockFlowModel(self.height, self.width, self.block_size, params=self.params)
 
 
 @dataclass(frozen=True)
@@ -254,8 +250,9 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
         raise ValueError("scene dimensions do not match the model")
 
     spec = config.loss_spec
-    fw_model = model.clone()
-    bw_model = BlockFlowModel(model.height, model.width, model.block_size)
+    # (forward, backward) pairs: models, their labels, predictions, weights.
+    models = (model.clone(), BlockFlowModel(model.height, model.width, model.block_size))
+    labels = (scene.train_labels, scene.train_labels_backward)
     loss_history: list[float] = []
     snapshots: list[tuple[int, Grid1, Grid1]] = []
 
@@ -263,40 +260,36 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
     # overflow warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            fw_data = fw_model.upsample(fw_model.params)
-            bw_data = bw_model.upsample(bw_model.params)
-            if not (np.all(np.isfinite(fw_data)) and np.all(np.isfinite(bw_data))):
+            data = [m.upsample(m.params) for m in models]
+            if not all(np.all(np.isfinite(d)) for d in data):
                 raise TrainingDivergedError(step, "prediction is not finite")
-            fw, bw = Grid2(fw_data), Grid2(bw_data)
+            preds = [Grid2(d) for d in data]
 
             if step % config.recompute_confidence_every == 0:
                 with _diverges_at(step):
-                    w_fw = build_weights(spec, fw, scene.train_labels, scene.valid, backward=bw)
-                    w_bw = build_weights(spec, bw, scene.train_labels_backward, scene.valid,
-                                         backward=fw)
+                    weights = [build_weights(spec, pred, label, scene.valid, backward=other)
+                               for pred, label, other in zip(preds, labels, preds[::-1])]
 
-            res_fw = weighted_l1(fw, scene.train_labels, w_fw, scene.valid)
-            res_bw = weighted_l1(bw, scene.train_labels_backward, w_bw, scene.valid)
-            if not np.isfinite(res_fw.scalar):
-                raise TrainingDivergedError(step, f"loss is {res_fw.scalar}")
-            loss_history.append(res_fw.scalar)
+            results = [weighted_l1(pred, label, weight, scene.valid)
+                       for pred, label, weight in zip(preds, labels, weights)]
+            if not np.isfinite(results[0].scalar):
+                raise TrainingDivergedError(step, f"loss is {results[0].scalar}")
+            loss_history.append(results[0].scalar)
 
-            fw_model.params -= config.learning_rate * fw_model.footprint_weighted_mean(
-                res_fw.grad.data, np.where(scene.valid.data, w_fw.data, 0.0))
-            bw_model.params -= config.learning_rate * bw_model.footprint_weighted_mean(
-                res_bw.grad.data, np.where(scene.valid.data, w_bw.data, 0.0))
+            for m, res, weight in zip(models, results, weights):
+                m.params -= config.learning_rate * m.footprint_weighted_mean(
+                    res.grad.data, np.where(scene.valid.data, weight.data, 0.0))
 
             if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
                 with _diverges_at(step):
                     snapshots.append((step + 1,
-                                      confidence_db_flow(fw, scene.train_labels, scene.valid),
-                                      confidence_oa(fw, bw, spec.cycle)))
+                                      confidence_db_flow(preds[0], labels[0], scene.valid),
+                                      confidence_oa(*preds, spec.cycle)))
 
         # The final prediction has taken every step, so an overflow in it
         # counts as divergence at step `steps`.
         with _diverges_at(config.steps):
-            final_fw = Grid2(fw_model.upsample(fw_model.params))
-            final_bw = Grid2(bw_model.upsample(bw_model.params))
+            final_fw, final_bw = (m.predict() for m in models)
             # Scored against the clean ground truth; matched region = not occluded.
             report = full_report(final_fw, scene.gt_forward, scene.valid,
                                  region=~scene.occlusion)
@@ -341,8 +334,7 @@ def compare_runs(configs: Sequence[TrainConfig], scenes: Sequence[Scene],
         raise ValueError("no scenes to train on")
     base = configs[0]
     for cfg in configs[1:]:
-        if (cfg.steps, cfg.learning_rate, cfg.recompute_confidence_every) != \
-           (base.steps, base.learning_rate, base.recompute_confidence_every):
+        if replace(cfg, loss_spec=base.loss_spec) != base:
             raise ValueError("configs must differ only in loss_spec")
 
     rows = []

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import warnings
@@ -7,6 +8,7 @@ import pytest
 
 from confloss import (
     BinaryMask,
+    CycleParams,
     Grid1,
     Grid2,
     WeightSpec,
@@ -15,6 +17,7 @@ from confloss import (
     full_report,
     occlusion_mask,
 )
+from confloss import cli
 from confloss.cli import main, parse_toy_config
 from confloss.fileio import (
     read_pfm,
@@ -23,6 +26,7 @@ from confloss.fileio import (
     write_metrics_csv,
     write_pfm,
 )
+from confloss.toytrain import SceneSpec, TrainConfig
 
 
 def flo(path, arr):
@@ -416,6 +420,39 @@ bad_0.5,bad_1,bad_2,bad_3,n_valid,n_matched,n_unmatched
 """
 
 
+TOY_OWNERS = (SceneSpec, TrainConfig, WeightSpec, CycleParams)
+
+
+def _plain_field(f):
+    """An int, float or 2-tuple field: the kinds a config key can set."""
+    return isinstance(f.default, (int, float)) or (
+        isinstance(f.default, tuple) and len(f.default) == 2)
+
+
+# Every key at a value other than its default.
+ALL_KEYS_CONFIG = """
+height = 48
+width = 40
+square_size = 16
+square_motion = 4, -2
+background_motion = 1, 0.5
+noise_sigma = 2.5
+steps = 7
+learning_rate = 0.1
+block_size = 4
+seeds = 3, 5
+modes = db, mask_sum
+alpha1 = 1.5
+beta1 = 0.75
+alpha2 = 3.0
+beta2 = 2.0
+gamma1 = 0.02
+gamma2 = 0.7
+recompute_confidence_every = 2
+snapshot_every = 3
+"""
+
+
 class TestToytrain:
     def test_config_parser(self):
         cfg = parse_toy_config(TOY_CONFIG)
@@ -462,6 +499,57 @@ class TestToytrain:
         assert main(["toytrain", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert f"{repeated} is repeated" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("steps = 3\nmodes = oa\nsteps = 2\n")
+        out = tmp_path / "out"
+        assert main(["toytrain", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "confloss: error: config line 3: key 'steps' is repeated\n"
+        assert not out.exists()
+
+    def test_every_plain_field_has_a_key(self):
+        # Every int, float and 2-tuple field but the scene seed is settable,
+        # and its key parses a value of the field's kind.
+        parsers = {(owner, name): parse for parse, owner, name in cli._TOY_KEYS.values()}
+        for owner in TOY_OWNERS:
+            for f in dataclasses.fields(owner):
+                if not _plain_field(f) or (owner, f.name) == (SceneSpec, "seed"):
+                    continue
+                assert (owner, f.name) in parsers, f"{owner.__name__}.{f.name} has no key"
+                parse = parsers[owner, f.name]
+                if isinstance(f.default, tuple):
+                    assert parse("1, 2.5") == (1.0, 2.5)
+                else:
+                    assert parse("3") == type(f.default)(3)
+
+    def test_every_key_reaches_its_field(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "compare_runs",
+                            lambda configs, scenes, block_size: calls.append(
+                                (configs, scenes, block_size)) or [])
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(ALL_KEYS_CONFIG)
+        assert main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        [(configs, scenes, block_size)] = calls
+        assert block_size == 4
+        assert [s.spec for s in scenes] == [
+            SceneSpec(height=48, width=40, square_size=16, square_motion=(4.0, -2.0),
+                      background_motion=(1.0, 0.5), occluded_label_noise_sigma=2.5, seed=seed)
+            for seed in (3, 5)]
+        cycle = CycleParams(gamma1=0.02, gamma2=0.7)
+        assert configs == [
+            TrainConfig(steps=7, learning_rate=0.1, recompute_confidence_every=2,
+                        snapshot_every=3,
+                        loss_spec=WeightSpec(mode, alpha1=1.5, beta1=0.75, alpha2=3.0,
+                                             beta2=2.0, cycle=cycle))
+            for mode in ("db", "mask_sum")]
+        # No field keeps its default, so a field without a key would show here.
+        for obj in (scenes[0].spec, configs[0], configs[0].loss_spec, cycle):
+            for f in dataclasses.fields(obj):
+                if _plain_field(f):
+                    assert getattr(obj, f.name) != f.default, f.name
 
     def test_divergence_is_data_error(self, tmp_path, capsys):
         # The overflow happens in: the loss; the cycle check of the weights; a

@@ -156,6 +156,12 @@ class TestPfm:
             read_pfm(b"Px\n1 1\n-1.0\n" + b"\x00" * 4)
         assert err.value.reason == "bad_header"
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(FormatError) as err:
+            read_pfm(b"Pf\n1 1\n" + scale + b"\n" + b"\x00" * 4)
+        assert err.value.reason == "bad_header"
+
     def test_truncation(self):
         blob = write_pfm(Grid1.zeros(4, 4))
         with pytest.raises(FormatError) as err:

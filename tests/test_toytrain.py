@@ -71,6 +71,17 @@ class TestSynthScene:
         agreement = (mask.data == ~scene.occlusion.data).mean()
         assert agreement >= 0.95
 
+    def test_backward_occlusion_keeps_the_exact_frame1_corner(self):
+        # The frame-1 square spans x 15..46 and the frame-2 one x 17.19..49.19,
+        # so columns 15..17 are revealed. (15 + 2.19) - 2.19 is not 15 in
+        # floating point: a frame-1 corner rebuilt from the frame-2 one would
+        # lose column 15.
+        spec = SceneSpec(square_motion=(2.19, 0.0))
+        assert spec.square_origin == (15, 16)
+        revealed = synth_scene(spec).occlusion_backward.data
+        assert revealed.any(axis=0).nonzero()[0].tolist() == [15, 16, 17]
+        assert revealed.sum() == 3 * 32
+
     def test_deterministic_per_seed(self):
         a = synth_scene(SceneSpec(seed=9))
         b = synth_scene(SceneSpec(seed=9))
@@ -239,6 +250,8 @@ class TestCompareRuns:
         scene = synth_scene(SceneSpec(seed=0))
         with pytest.raises(ValueError, match="differ only"):
             compare_runs([quick_config(steps=20), quick_config(steps=30)], [scene])
+        with pytest.raises(ValueError, match="differ only"):
+            compare_runs([quick_config(), quick_config(snapshot_every=5)], [scene])
 
     def test_no_scenes_rejected(self):
         with pytest.raises(ValueError, match="no scenes"):
