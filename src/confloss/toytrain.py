@@ -119,7 +119,7 @@ def synth_scene(spec: SceneSpec) -> Scene:
     h, w = spec.height, spec.width
     motion = np.array(spec.square_motion, dtype=np.float64)
     background = np.array(spec.background_motion, dtype=np.float64)
-    # Frame-1 and frame-2 corners; the backward frame runs from the second back.
+    # The square's corners in frames 1 and 2; backward reuses them: (x0 + mx) - mx may round.
     corners = (spec.square_origin, tuple(spec.square_origin + motion))
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     frames = (_frame(xs, ys, spec.square_size, corners, motion, background),
