@@ -25,7 +25,7 @@ from .confidence import (
     confidence_oa,
     occlusion_mask,
 )
-from .fields import BinaryMask, check_same_shape, reverse_disparity_restore
+from .fields import check_same_shape, reverse_disparity_restore
 from .losses import MODES, PLAIN_L1, SequenceParams, WeightSpec, sequence_loss
 from .metrics import full_report
 from .toytrain import (BLOCK_SIZE, SceneSpec, TrainConfig, TrainingDivergedError,
@@ -44,29 +44,24 @@ class DataError(Exception):
     pass
 
 
-def _read_bytes(path: str) -> bytes:
+def _load(path: str, parse):
+    """Return parse(bytes of `path`); a read or format error names the file."""
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
+        return parse(Path(path).read_bytes())
+    except (OSError, fileio.FormatError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _load_field(path: str, task: str):
-    """Read a correspondence field: .flo for flow, PFM for stereo."""
-    data = _read_bytes(path)
-    try:
-        if task == FLOW:
-            return fileio.read_flo(data)
-        return fileio.read_pfm(data)
-    except fileio.FormatError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _load_mask(path: str) -> BinaryMask:
-    try:
-        return fileio.read_pgm_mask(_read_bytes(path))
-    except fileio.FormatError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+def _load_fields(task: str, *paths: str, masks=()):
+    """Read fields (.flo for flow, PFM for stereo), then the PGM `masks` (None:
+    not given), and check all shapes together. Returns the fields followed by
+    the masks, and each field's validity mask."""
+    # Looked up per call: the benchmark's tracer rebinds the module attribute.
+    read = fileio.read_flo if task == FLOW else fileio.read_pfm
+    grids, valids = zip(*(_load(path, read) for path in paths))
+    grids += tuple(_load(path, fileio.read_pgm_mask) if path else None for path in masks)
+    _check_shapes(*((path, g) for path, g in zip(paths + tuple(masks), grids) if path))
+    return grids, valids
 
 
 def _check_shapes(*named):
@@ -84,9 +79,8 @@ def _resolve_weight_spec(args) -> WeightSpec:
                                   cycle=CycleParams(args.gamma1, args.gamma2), **given)
 
 
-def _add_common_params(p: argparse.ArgumentParser, with_task=True):
-    if with_task:
-        p.add_argument("--task", choices=(FLOW, STEREO), default=FLOW)
+def _add_common_params(p: argparse.ArgumentParser):
+    p.add_argument("--task", choices=(FLOW, STEREO), default=FLOW)
     p.add_argument("--alpha1", type=float, default=None,
                    help="error-term weight scale (default per task)")
     p.add_argument("--beta1", type=float, default=None,
@@ -175,9 +169,7 @@ def cmd_confmap(args) -> int:
     if args.mode == "db":
         if not args.pred or not args.gt:
             raise UsageError("confmap --mode db needs --pred and --gt")
-        pred, pv = _load_field(args.pred, args.task)
-        gt, gv = _load_field(args.gt, args.task)
-        _check_shapes((args.pred, pred), (args.gt, gt))
+        (pred, gt), (pv, gv) = _load_fields(args.task, args.pred, args.gt)
         valid = pv & gv
         if args.task == FLOW:
             conf = confidence_db_flow(pred, gt, valid)
@@ -186,9 +178,7 @@ def cmd_confmap(args) -> int:
     else:
         if not args.forward or not args.backward:
             raise UsageError("confmap --mode oa needs --forward and --backward")
-        fw, _ = _load_field(args.forward, args.task)
-        bw, _ = _load_field(args.backward, args.task)
-        _check_shapes((args.forward, fw), (args.backward, bw))
+        (fw, bw), _ = _load_fields(args.task, args.forward, args.backward)
         conf = confidence_oa(fw, bw, spec.cycle)
     if args.out_pfm:
         Path(args.out_pfm).write_bytes(fileio.write_pfm(conf))
@@ -199,9 +189,7 @@ def cmd_confmap(args) -> int:
 
 def cmd_occmask(args) -> int:
     spec = _resolve_weight_spec(args)
-    fw, _ = _load_field(args.forward, args.task)
-    bw, _ = _load_field(args.backward, args.task)
-    _check_shapes((args.forward, fw), (args.backward, bw))
+    (fw, bw), _ = _load_fields(args.task, args.forward, args.backward)
     mask = occlusion_mask(fw, bw, spec.cycle)
     Path(args.out_pgm).write_bytes(fileio.write_pgm(mask))
     return 0
@@ -209,24 +197,16 @@ def cmd_occmask(args) -> int:
 
 def cmd_loss(args) -> int:
     spec = _resolve_weight_spec(args)
-    gt, gt_valid = _load_field(args.gt, args.task)
-    preds, valid = [], gt_valid
-    for path in args.pred:
-        pred, pv = _load_field(path, args.task)
-        _check_shapes((path, pred), (args.gt, gt))
-        preds.append(pred)
+    n = len(args.pred)
+    if spec.needs_backward and len(args.backward or ()) != n:
+        raise UsageError(f"mode {spec.mode!r} needs one --backward per --pred")
+    (gt, *grids), (valid, *valids) = _load_fields(
+        args.task, args.gt, *args.pred, *(args.backward if spec.needs_backward else ()))
+    for pv in valids[:n]:
         valid = valid & pv
-    backwards = None
-    if spec.needs_backward:
-        if not args.backward or len(args.backward) != len(args.pred):
-            raise UsageError(f"mode {spec.mode!r} needs one --backward per --pred")
-        backwards = []
-        for path in args.backward:
-            bw, _ = _load_field(path, args.task)
-            _check_shapes((path, bw), (args.gt, gt))
-            backwards.append(bw)
+    backwards = grids[n:] if spec.needs_backward else None
     try:
-        total, per_iter = sequence_loss(preds, gt, valid, spec,
+        total, per_iter = sequence_loss(grids[:n], gt, valid, spec,
                                         SequenceParams(args.gamma_seq), backwards)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
@@ -240,18 +220,9 @@ def cmd_loss(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred, pv = _load_field(args.pred, args.task)
-    gt, gv = _load_field(args.gt, args.task)
-    _check_shapes((args.pred, pred), (args.gt, gt))
-    valid = pv & gv
-    if args.valid:
-        extra = _load_mask(args.valid)
-        _check_shapes((args.pred, pred), (args.valid, extra))
-        valid = valid & extra
-    region = None
-    if args.region:
-        region = _load_mask(args.region)
-        _check_shapes((args.pred, pred), (args.region, region))
+    (pred, gt, extra, region), (pv, gv) = _load_fields(
+        args.task, args.pred, args.gt, masks=(args.valid, args.region))
+    valid = pv & gv if extra is None else pv & gv & extra
     report = full_report(pred, gt, valid, region=region)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -262,7 +233,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reverse_disparity(args) -> int:
-    grid, _ = _load_field(args.input, STEREO)
+    (grid,), _ = _load_fields(STEREO, args.input)
     Path(args.output).write_bytes(fileio.write_pfm(reverse_disparity_restore(grid)))
     return 0
 
@@ -319,11 +290,7 @@ def parse_toy_config(text: str) -> dict:
 
 
 def cmd_toytrain(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{args.config}: {exc}") from exc
-    cfg = parse_toy_config(text)
+    cfg = parse_toy_config(_load(args.config, bytes.decode))
     given = defaultdict(dict)  # owner -> {field: value}
     for key, value in cfg.items():
         _, owner, name = _TOY_KEYS[key]

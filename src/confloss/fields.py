@@ -177,6 +177,8 @@ def bilinear_sample(field: Grid2 | Grid1, x: float, y: float):
 
     For a Grid2 the value is a length-2 array, for a Grid1 a float.
     """
+    if np.isnan(x) or np.isnan(y):
+        x = y = np.inf  # off every frame, like inf; NaN would become the gather index
     values, inb = sample_values(field.data, np.float64(x), np.float64(y))
     if isinstance(field, Grid2):
         return np.asarray(values, dtype=np.float64), bool(inb)

@@ -34,3 +34,33 @@ def test_every_traced_layer_resolves():
             if not found:
                 missing.append(f"{layer}: {target}")
     assert missing == []
+
+
+def test_tracer_sees_every_cli_read(tmp_path, capsys):
+    # A reader bound where the tracer cannot rebind it (a dict, a default
+    # argument) would make `--trace 1` under-report the codec layers.
+    import numpy as np
+
+    from confloss import BinaryMask, Grid2, cli
+    from confloss.fileio import write_flo, write_pgm
+
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("pred", "gt", "backward"):
+        path = tmp_path / f"{name}.flo"
+        path.write_bytes(write_flo(Grid2(rng.normal(size=(3, 4, 2)))))
+        paths.append(str(path))
+    pred, gt, backward = paths
+    region = tmp_path / "region.pgm"
+    region.write_bytes(write_pgm(BinaryMask(np.eye(3, 4, dtype=bool))))
+
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["loss", "--mode", "oa", "--pred", pred, "--gt", gt,
+                         "--backward", backward]) == 0
+        assert cli.main(["eval", "--pred", pred, "--gt", gt, "--region", str(region)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.names.count("fileio.read_flo") == 3 + 2
+    assert tracer.names.count("fileio.read_pgm_mask") == 1

@@ -17,7 +17,7 @@ from confloss import (
     full_report,
     occlusion_mask,
 )
-from confloss import cli
+from confloss import cli, fileio
 from confloss.cli import main, parse_toy_config
 from confloss.fileio import (
     read_pfm,
@@ -25,6 +25,7 @@ from confloss.fileio import (
     write_flo,
     write_metrics_csv,
     write_pfm,
+    write_pgm,
 )
 from confloss.toytrain import SceneSpec, TrainConfig
 
@@ -246,7 +247,6 @@ class TestEval:
         gt_arr = rng.normal(size=(4, 4, 2)).astype(np.float32)
         pred = flo(tmp_path / "p.flo", pred_arr)
         gt = flo(tmp_path / "g.flo", gt_arr)
-        from confloss.fileio import write_pgm
         region = BinaryMask(np.eye(4, dtype=bool))
         mask_path = tmp_path / "r.pgm"
         mask_path.write_bytes(write_pgm(region))
@@ -291,6 +291,57 @@ class TestReverseDisparity:
         main(["reverse-disparity", "--input", src, "--output", str(out)])
         grid, _ = read_pfm(out.read_bytes())
         np.testing.assert_array_equal(grid.data, [[2.0, 1.0]])
+
+
+class TestLoader:
+    """Each input file is read once, and all of a command's inputs are checked
+    for one size together."""
+
+    @pytest.mark.parametrize("template", [
+        "confmap --mode db --pred {a} --gt {odd} --out-pfm {out}",
+        "confmap --mode oa --forward {a} --backward {odd} --out-pgm {out}",
+        "occmask --forward {odd} --backward {a} --out-pgm {out}",
+        "loss --gt {a} --pred {b} --pred {odd}",
+        "loss --mode oa --gt {a} --pred {b} --backward {odd}",
+        "eval --pred {a} --gt {b} --valid {odd_mask}",
+        "eval --pred {a} --gt {b} --valid {mask} --region {odd_mask}",
+    ], ids=["confmap-db", "confmap-oa", "occmask", "loss-pred", "loss-backward",
+            "eval-valid", "eval-region"])
+    def test_dimension_mismatch_names_every_input(self, tmp_path, rng, capsys, template):
+        heights = {"a": 3, "b": 3, "odd": 5, "mask": 3, "odd_mask": 2}
+        paths = {"out": str(tmp_path / "out")}
+        for name, h in heights.items():
+            if name.endswith("mask"):
+                path = tmp_path / f"{name}.pgm"
+                path.write_bytes(write_pgm(BinaryMask(np.ones((h, 4), bool))))
+                paths[name] = str(path)
+            else:
+                paths[name] = flo(tmp_path / f"{name}.flo",
+                                  rng.normal(size=(h, 4, 2)).astype(np.float32))
+        assert main([arg.format(**paths) for arg in template.split()]) == 1
+        inputs = [name for name in re.findall(r"{(\w+)}", template) if name != "out"]
+        dims = ", ".join(f"{paths[name]}: {heights[name]}x4" for name in inputs)
+        assert capsys.readouterr().err == (
+            f"confloss: error: input dimensions disagree ({dims})\n")
+
+    def test_loss_reads_each_field_once(self, tmp_path, rng, capsys, monkeypatch):
+        read_flo, calls = fileio.read_flo, []
+        monkeypatch.setattr(fileio, "read_flo", lambda data: calls.append(data) or read_flo(data))
+        argv = ["loss", "--mode", "mask_sum",
+                "--gt", flo(tmp_path / "g.flo", rng.normal(size=(3, 4, 2)).astype(np.float32))]
+        for i in range(3):
+            argv += ["--pred", flo(tmp_path / f"p{i}.flo",
+                                   rng.normal(size=(3, 4, 2)).astype(np.float32)),
+                     "--backward", flo(tmp_path / f"b{i}.flo",
+                                       rng.normal(size=(3, 4, 2)).astype(np.float32))]
+        assert main(argv) == 0
+        assert len(calls) == 7
+
+    def test_backward_count_checked_before_any_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.flo")
+        assert main(["loss", "--mode", "oa", "--pred", missing, "--gt", missing]) == 2
+        assert capsys.readouterr().err == (
+            "confloss: error: mode 'oa' needs one --backward per --pred\n")
 
 
 def frame_inputs(tmp_path, task):

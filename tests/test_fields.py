@@ -69,6 +69,8 @@ class TestBilinearSample:
         g = Grid1(np.ones((3, 3)))
         assert bilinear_sample(g, -0.01, 0) == (0.0, False)
         assert bilinear_sample(g, 0, 2.0001) == (0.0, False)
+        assert bilinear_sample(g, np.nan, 1) == (0.0, False)
+        assert bilinear_sample(g, 1, np.nan) == (0.0, False)
 
     def test_vector_grid(self):
         g = Grid2.constant(2, 2, 1.0, -2.0)
