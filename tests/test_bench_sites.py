@@ -1,12 +1,18 @@
 """The benchmark's per-layer tracer wraps library names it looks up by string.
 
 A rename or deletion of a traced function would otherwise surface only in
-`bench/run.py --trace 1`; this test makes it fail the suite.
+`bench/run.py --trace 1`; these tests make it fail the suite, as they do a
+read the tracer cannot see.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from confloss import BinaryMask, Grid2, cli
+from confloss.fileio import write_flo, write_pgm
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -39,11 +45,6 @@ def test_every_traced_layer_resolves():
 def test_tracer_sees_every_cli_read(tmp_path, capsys):
     # A reader bound where the tracer cannot rebind it (a dict, a default
     # argument) would make `--trace 1` under-report the codec layers.
-    import numpy as np
-
-    from confloss import BinaryMask, Grid2, cli
-    from confloss.fileio import write_flo, write_pgm
-
     rng = np.random.default_rng(0)
     paths = []
     for name in ("pred", "gt", "backward"):
