@@ -48,7 +48,7 @@ def _load(path: str, parse):
     """Return parse(bytes of `path`); a read or format error names the file."""
     try:
         return parse(Path(path).read_bytes())
-    except (OSError, fileio.FormatError) as exc:
+    except (OSError, fileio.FormatError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prediction file; repeat for a refinement sequence")
     p.add_argument("--gt", required=True)
     p.add_argument("--backward", action="append", default=None,
-                   help="backward field per prediction (cycle-based modes)")
+                   help="backward field per prediction (cycle-based modes only)")
     p.add_argument("--mode", choices=MODES, default=PLAIN_L1)
     p.add_argument("--gamma-seq", type=float, default=SequenceParams.gamma_seq)
     p.add_argument("--out-loss-map", help="per-pixel loss of the last iteration (PFM)")
@@ -200,8 +200,10 @@ def cmd_loss(args) -> int:
     n = len(args.pred)
     if spec.needs_backward and len(args.backward or ()) != n:
         raise UsageError(f"mode {spec.mode!r} needs one --backward per --pred")
+    if not spec.needs_backward and args.backward:
+        raise UsageError(f"mode {spec.mode!r} takes no --backward")
     (gt, *grids), (valid, *valids) = _load_fields(
-        args.task, args.gt, *args.pred, *(args.backward if spec.needs_backward else ()))
+        args.task, args.gt, *args.pred, *(args.backward or ()))
     for pv in valids[:n]:
         valid = valid & pv
     backwards = grids[n:] if spec.needs_backward else None

@@ -69,7 +69,8 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
     A Grid2 pair is (forward flow f, backward flow b). A Grid1 pair is
     (d_lr, d_rl) with d_rl restored to the right image's frame (see
     reverse_disparity_restore): f = -d_lr and b = d_rl along x, rows stay
-    fixed, and a negative entry in either map raises a RuntimeWarning.
+    fixed, so d_rl is sampled along rows only, and a negative entry in either
+    map raises a RuntimeWarning.
     b is sampled bilinearly at the warp target; pixels whose target falls
     off-frame are reported in target_valid as False (the sampled value there
     is 0, so the terms are still finite).
@@ -77,19 +78,20 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
     if type(f_fw) is not type(f_bw):
         raise ValueError("f_fw and f_bw must be the same grid type")
     h, w = check_same_shape(f_fw, f_bw)
-    xs, ys = coordinate_grids(h, w)
     if isinstance(f_fw, Grid2):
-        fw = (f_fw.data[..., 0], f_fw.data[..., 1])
-        ys = ys + fw[1]
+        xs, ys = coordinate_grids(h, w)
+        f = f_fw.data
+        b, target_valid = sample_values(f_bw.data, xs + f[..., 0], ys + f[..., 1])
+        fu, fv, bu, bv = f[..., 0], f[..., 1], b[..., 0], b[..., 1]
+        num = (fu + bu) ** 2 + (fv + bv) ** 2
+        mag2 = (fu * fu + fv * fv) + (bu * bu + bv * bv)
     else:
         warn_negative_disparity(f_fw)
         warn_negative_disparity(f_bw)
-        fw = (-f_fw.data,)
-    sampled, target_valid = sample_values(f_bw.data, xs + fw[0], ys)
-    bw = (sampled[..., 0], sampled[..., 1]) if sampled.ndim == 3 else (sampled,)
-    # Sums over the component planes: u and v for flow, x alone for stereo.
-    num = sum((f + b) ** 2 for f, b in zip(fw, bw))
-    mag2 = sum(f**2 for f in fw) + sum(b**2 for b in bw)
+        d = f_fw.data
+        b, target_valid = sample_values(f_bw.data, np.arange(w, dtype=np.float64) - d, None)
+        num = (b - d) ** 2
+        mag2 = d * d + b * b
     den = params.gamma1 * mag2 + params.gamma2
     return Grid1(num), Grid1(den), BinaryMask(target_valid)
 

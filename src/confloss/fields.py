@@ -1,6 +1,6 @@
 """Dense grid types and geometric primitives: bilinear sampling, backward
-warping, horizontal flips, the reverse-disparity restore and
-disparity_to_flow.
+warping, horizontal flips and the reverse-disparity restore (plus the
+public helper disparity_to_flow, which the library itself does not use).
 
 All grids are row-major with (row y, column x) indexing, x horizontal.
 Values are immutable after construction, so they are safe to share across
@@ -133,14 +133,28 @@ def check_same_shape(*grids) -> tuple[int, int]:
     return next(iter(shapes))
 
 
-def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
     """Bilinearly sample `data` (H, W[, C]) at float coordinates.
 
     Returns (values, in_bounds). Out-of-bounds samples are 0 with
     in_bounds False. In-bounds means (x, y) in [0, W-1] x [0, H-1].
+    ys=None: `data` and `xs` are (H, W), and xs[y, x] is sampled along row y.
     """
     h, w = data.shape[:2]
     xs = np.asarray(xs, dtype=np.float64)
+    if ys is None:
+        if data.ndim != 2 or xs.shape != data.shape:
+            raise ValueError(f"row sampling needs (H, W) data and xs, got "
+                             f"{data.shape} and {xs.shape}")
+        inb = (xs >= 0.0) & (xs <= w - 1.0)
+        xc = np.clip(xs, 0.0, w - 1.0)
+        x0 = np.floor(xc).astype(np.intp)
+        fx = xc - x0
+        i00 = x0 + np.arange(0, h * w, w)[:, None]
+        i01 = i00 + (x0 < w - 1)
+        plane = data.reshape(-1)
+        values = plane.take(i00) * (1.0 - fx) + plane.take(i01) * fx
+        return np.where(inb, values, 0.0), inb
     ys = np.asarray(ys, dtype=np.float64)
     inb = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
 

@@ -343,6 +343,15 @@ class TestLoader:
         assert capsys.readouterr().err == (
             "confloss: error: mode 'oa' needs one --backward per --pred\n")
 
+    @pytest.mark.parametrize("mode", ["plain_l1", "db"])
+    def test_backward_rejected_without_cycle_check(self, tmp_path, rng, capsys, mode):
+        pred = flo(tmp_path / "p.flo", rng.normal(size=(3, 4, 2)).astype(np.float32))
+        missing = str(tmp_path / "missing.flo")
+        assert main(["loss", "--mode", mode, "--pred", pred, "--gt", pred,
+                     "--backward", missing]) == 2
+        assert capsys.readouterr().err == (
+            f"confloss: error: mode {mode!r} takes no --backward\n")
+
 
 def frame_inputs(tmp_path, task):
     """A seeded 24x40 frame for `task`: (pred, backward) for two iterations and
@@ -517,6 +526,16 @@ class TestToytrain:
         assert main(["toytrain", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert "optimizer" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_bytes(b"\xff\xfes\x00t\x00")
+        assert main(["toytrain", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"confloss: error: {cfg}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_zero_steps_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"

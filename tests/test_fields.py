@@ -169,6 +169,46 @@ class TestSampleValuesBits:
         assert np.array_equal(got_inb, want_inb)
 
 
+@st.composite
+def row_sampling_cases(draw):
+    """(data, xs): an (H, W) array and (H, W) column coordinates."""
+    data = draw(grid1_arrays())
+    h, w = data.shape
+    xs = draw(st.lists(coordinates(w), min_size=h * w, max_size=h * w))
+    return data, np.array(xs).reshape(h, w)
+
+
+_LEFT_OF_0, _RIGHT_OF_2 = np.nextafter(0.0, -np.inf), np.nextafter(2.0, np.inf)
+
+
+class TestRowSampling:
+    @given(row_sampling_cases())
+    @example((np.arange(6.0).reshape(2, 3), np.full((2, 3), _LEFT_OF_0)))
+    @example((np.arange(6.0).reshape(2, 3), np.zeros((2, 3))))
+    @example((np.arange(6.0).reshape(2, 3), np.full((2, 3), 2.0)))
+    @example((np.arange(6.0).reshape(2, 3), np.full((2, 3), _RIGHT_OF_2)))
+    @example((np.array([[1.0], [-2.0], [3.0]]), np.array([[0.0], [-0.5], [1e-300]])))
+    @example((np.array([[1.0, -2.0, 3.0]]), np.array([[0.5, 2.0, _RIGHT_OF_2]])))
+    @example((np.array([[-0.0], [1.0]]), np.zeros((2, 1))))
+    def test_equals_2d_sampler_on_row_grid(self, case):
+        # Bit for bit, but for the sign of a zero: the 2-D formula adds the
+        # next row's sample times fy = 0, which turns a -0.0 into +0.0.
+        data, xs = case
+        rows = np.broadcast_to(np.arange(data.shape[0], dtype=np.float64)[:, None], xs.shape)
+        got, got_inb = sample_values(data, xs, None)
+        want, want_inb = sample_values(data, xs, rows)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got)[got != 0], np.signbit(want)[want != 0])
+        assert np.array_equal(got_inb, want_inb)
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError):
+            sample_values(np.zeros((2, 3, 2)), np.zeros((2, 3)), None)
+        with pytest.raises(ValueError):
+            sample_values(np.zeros((2, 3)), np.zeros((3, 2)), None)
+
+
 class TestBackwardWarp:
     def test_zero_flow_is_identity(self):
         field = Grid1(np.arange(20.0).reshape(4, 5))
