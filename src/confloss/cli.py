@@ -165,6 +165,9 @@ def _show_defaults() -> None:
 def cmd_confmap(args) -> int:
     if not args.out_pfm and not args.out_pgm:
         raise UsageError("confmap: nothing to do, pass --out-pfm and/or --out-pgm")
+    for name in ("forward", "backward") if args.mode == "db" else ("pred", "gt"):
+        if getattr(args, name):
+            raise UsageError(f"confmap --mode {args.mode} takes no --{name}")
     spec = _resolve_weight_spec(args)
     if args.mode == "db":
         if not args.pred or not args.gt:

@@ -133,12 +133,20 @@ def check_same_shape(*grids) -> tuple[int, int]:
     return next(iter(shapes))
 
 
+# Points per chunk of the 2-D sampler: each chunk's float64 temporaries are
+# 256 KB, small enough to stay in cache and be reused by the allocator, where
+# frame-sized ones are page-faulted fresh and streamed through DRAM.
+_CHUNK = 32768
+
+
 def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
     """Bilinearly sample `data` (H, W[, C]) at float coordinates.
 
     Returns (values, in_bounds). Out-of-bounds samples are 0 with
     in_bounds False. In-bounds means (x, y) in [0, W-1] x [0, H-1].
     ys=None: `data` and `xs` are (H, W), and xs[y, x] is sampled along row y.
+    With ys given, the points are processed in fixed-size chunks; the
+    result does not depend on the chunking.
     """
     h, w = data.shape[:2]
     xs = np.asarray(xs, dtype=np.float64)
@@ -156,34 +164,44 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
         values = plane.take(i00) * (1.0 - fx) + plane.take(i01) * fx
         return np.where(inb, values, 0.0), inb
     ys = np.asarray(ys, dtype=np.float64)
-    inb = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+    if xs.shape != ys.shape:
+        xs, ys = np.broadcast_arrays(xs, ys)
+    shape = xs.shape
+    xs, ys = xs.reshape(-1), ys.reshape(-1)
+    # One contiguous 1-D plane per channel: `take` on a strided view would
+    # copy the whole plane on every call.
+    planes = np.ascontiguousarray(data.reshape(h * w, -1).T)
+    values = np.empty((xs.size, len(planes)))
+    inb = np.empty(xs.size, dtype=bool)
+    for start in range(0, xs.size, _CHUNK):
+        x, y = xs[start:start + _CHUNK], ys[start:start + _CHUNK]
+        # Clamp so indexing stays legal; weights of clamped corners are 0 for
+        # in-bounds points and out-of-bounds results are zeroed below. A point
+        # is in bounds iff clipping leaves it unchanged (False for NaN), and
+        # the clipped coordinates are >= 0, so truncation is the floor.
+        xc = np.clip(x, 0.0, w - 1.0)
+        yc = np.clip(y, 0.0, h - 1.0)
+        ok = (xc == x) & (yc == y)
+        x0 = xc.astype(np.intp)
+        y0 = yc.astype(np.intp)
+        fx = xc - x0
+        fy = yc - y0
+        gx = 1.0 - fx
+        gy = 1.0 - fy
 
-    # Clamp so indexing stays legal; weights of clamped corners are 0 for
-    # in-bounds points and out-of-bounds results are zeroed below.
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(xc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
-    fx = xc - x0
-    fy = yc - y0
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-
-    # Flat indices of the four corners; the +1 neighbours stop at the last
-    # column and row. Each channel is gathered from its own 1-D view.
-    step_x = x0 < w - 1
-    i00 = y0 * w + x0
-    i01 = i00 + step_x
-    i10 = i00 + w * (y0 < h - 1)
-    i11 = i10 + step_x
-    planes = data.reshape(h * w, -1)
-    values = []
-    for c in range(planes.shape[1]):
-        plane = planes[:, c]
-        top = plane.take(i00) * gx + plane.take(i01) * fx
-        bot = plane.take(i10) * gx + plane.take(i11) * fx
-        values.append(np.where(inb, top * gy + bot * fy, 0.0))
-    return (np.stack(values, axis=-1) if data.ndim == 3 else values[0]), inb
+        # Flat indices of the four corners; the +1 neighbours stop at the
+        # last column and row.
+        step_x = x0 < w - 1
+        i00 = y0 * w + x0
+        i01 = i00 + step_x
+        i10 = i00 + w * (y0 < h - 1)
+        i11 = i10 + step_x
+        for c, plane in enumerate(planes):
+            top = plane.take(i00) * gx + plane.take(i01) * fx
+            bot = plane.take(i10) * gx + plane.take(i11) * fx
+            values[start:start + _CHUNK, c] = np.where(ok, top * gy + bot * fy, 0.0)
+        inb[start:start + _CHUNK] = ok
+    return values.reshape(shape + data.shape[2:]), inb.reshape(shape)
 
 
 def bilinear_sample(field: Grid2 | Grid1, x: float, y: float):
@@ -200,9 +218,11 @@ def bilinear_sample(field: Grid2 | Grid1, x: float, y: float):
 
 
 def coordinate_grids(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel-center coordinate arrays (xs, ys), each (H, W)."""
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    return xs, ys
+    """Pixel-center coordinate arrays (xs, ys), each a read-only (H, W)
+    broadcast view of one row or one column of float64 coordinates."""
+    shape = (height, width)
+    return (np.broadcast_to(np.arange(width, dtype=np.float64), shape),
+            np.broadcast_to(np.arange(height, dtype=np.float64)[:, None], shape))
 
 
 def backward_warp(field: Grid2 | Grid1, flow: Grid2):

@@ -97,6 +97,17 @@ class TestConfmap:
         assert main(["confmap", "--mode", "oa", "--forward", fwd,
                      "--out-pgm", str(tmp_path / "o.pgm")]) == 2
 
+    @pytest.mark.parametrize("mode, own, other", [("oa", ("forward", "backward"), "pred"),
+                                                  ("db", ("pred", "gt"), "forward")])
+    def test_other_mode_input_is_usage_error(self, tmp_path, rng, capsys, mode, own, other):
+        field = flo(tmp_path / "f.flo", rng.normal(size=(3, 3, 2)).astype(np.float32))
+        out = tmp_path / "o.pgm"
+        assert main(["confmap", "--mode", mode, f"--{own[0]}", field, f"--{own[1]}", field,
+                     f"--{other}", str(tmp_path / "missing.flo"), "--out-pgm", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"confloss: error: confmap --mode {mode} takes no --{other}\n")
+        assert not out.exists()
+
     def test_no_output_requested_is_usage_error(self, tmp_path, rng):
         fwd = flo(tmp_path / "f.flo", rng.normal(size=(3, 3, 2)).astype(np.float32))
         assert main(["confmap", "--mode", "db", "--pred", fwd, "--gt", fwd]) == 2

@@ -18,7 +18,7 @@ from confloss import (
     reverse_disparity_restore,
 )
 from confloss.confidence import cycle_terms
-from confloss.fields import sample_values
+from confloss.fields import _CHUNK, coordinate_grids, sample_values
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, width=32)
 
@@ -167,6 +167,54 @@ class TestSampleValuesBits:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(got_inb, want_inb)
+
+
+def chunked_case(channels):
+    """(data, xs, ys) with 2 * _CHUNK + 1000 points, so the sampler works
+    through two full chunks and a remainder. Data holds signed zeros; about
+    a third of the coordinates sit on an edge, one ulp outside it, at -0.0
+    or far off-frame, the rest anywhere around the frame."""
+    rng = np.random.default_rng(7)
+    h, w = 7, 9
+    data = rng.normal(size=(h, w) + channels)
+    data[rng.random(data.shape) < 0.3] = -0.0
+    data[0, 0] = 0.0
+    points = (_CHUNK // 4 + 125, 8)
+
+    def axis(n):
+        coords = rng.uniform(-1.5, n + 0.5, points)
+        edges = np.array([0.0, -0.0, n - 1.0, np.nextafter(n - 1.0, np.inf),
+                          np.nextafter(0.0, -np.inf), -1e6, 1e6, 2.0])
+        pick = rng.random(points) < 0.35
+        coords[pick] = rng.choice(edges, pick.sum())
+        return coords
+
+    return data, axis(w), axis(h)
+
+
+@pytest.mark.parametrize("channels", [(), (2,)])
+def test_sample_values_across_chunks(channels):
+    data, xs, ys = chunked_case(channels)
+    assert 2 * _CHUNK < xs.size < 3 * _CHUNK
+    got, got_inb = sample_values(data, xs, ys)
+    want, want_inb = fancy_index_sample(data, xs, ys)
+    assert got.shape == want.shape == xs.shape + channels and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got_inb, want_inb)
+    # The case reaches what it is meant to check.
+    assert got_inb.any() and not got_inb.all()
+    assert (np.signbit(got) & (got == 0)).any()
+
+
+def test_coordinate_grids_are_read_only_mgrid_values():
+    xs, ys = coordinate_grids(3, 5)
+    want_ys, want_xs = np.mgrid[0:3, 0:5].astype(np.float64)
+    for got, want in ((xs, want_xs), (ys, want_ys)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
 
 
 @st.composite
