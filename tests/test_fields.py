@@ -178,7 +178,6 @@ def chunked_case(channels):
     h, w = 7, 9
     data = rng.normal(size=(h, w) + channels)
     data[rng.random(data.shape) < 0.3] = -0.0
-    data[0, 0] = 0.0
     points = (_CHUNK // 4 + 125, 8)
 
     def axis(n):
