@@ -43,17 +43,7 @@ from .losses import (
     weight_oa,
     weighted_l1,
 )
-from .metrics import (
-    MetricReport,
-    aggregate_epe,
-    epe_map,
-    fl_all,
-    full_report,
-    magnitude_map,
-    outlier_rate,
-    speed_binned_epe,
-    stereo_metrics,
-)
+from .metrics import MetricReport, epe_map, full_report, magnitude_map
 from .toytrain import (
     BlockFlowModel,
     Scene,

@@ -79,6 +79,13 @@ def _resolve_weight_spec(args) -> WeightSpec:
                                   cycle=CycleParams(args.gamma1, args.gamma2), **given)
 
 
+def _path(text: str) -> str:
+    """argparse type of every path option: an empty path is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
+
+
 def _add_common_params(p: argparse.ArgumentParser):
     p.add_argument("--task", choices=(FLOW, STEREO), default=FLOW)
     p.add_argument("--alpha1", type=float, default=None,
@@ -103,48 +110,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confmap", help="write a confidence map (PFM + PGM)")
     p.add_argument("--mode", choices=("db", "oa"), required=True)
-    p.add_argument("--pred", help="prediction file (db mode)")
-    p.add_argument("--gt", help="ground-truth file (db mode)")
-    p.add_argument("--forward", help="forward field (oa mode)")
-    p.add_argument("--backward", help="backward field (oa mode)")
-    p.add_argument("--out-pfm")
-    p.add_argument("--out-pgm")
+    p.add_argument("--pred", type=_path, help="prediction file (db mode)")
+    p.add_argument("--gt", type=_path, help="ground-truth file (db mode)")
+    p.add_argument("--forward", type=_path, help="forward field (oa mode)")
+    p.add_argument("--backward", type=_path, help="backward field (oa mode)")
+    p.add_argument("--out-pfm", type=_path)
+    p.add_argument("--out-pgm", type=_path)
     _add_common_params(p)
 
     p = sub.add_parser("occmask", help="write the cycle-consistency mask (PGM)")
-    p.add_argument("--forward", required=True)
-    p.add_argument("--backward", required=True)
-    p.add_argument("--out-pgm", required=True)
+    p.add_argument("--forward", type=_path, required=True)
+    p.add_argument("--backward", type=_path, required=True)
+    p.add_argument("--out-pgm", type=_path, required=True)
     _add_common_params(p)
 
     p = sub.add_parser("loss", help="evaluate a weighted loss (prints the scalar)")
-    p.add_argument("--pred", action="append", required=True,
+    p.add_argument("--pred", type=_path, action="append", required=True,
                    help="prediction file; repeat for a refinement sequence")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--backward", action="append", default=None,
+    p.add_argument("--gt", type=_path, required=True)
+    p.add_argument("--backward", type=_path, action="append", default=None,
                    help="backward field per prediction (cycle-based modes only)")
     p.add_argument("--mode", choices=MODES, default=PLAIN_L1)
     p.add_argument("--gamma-seq", type=float, default=SequenceParams.gamma_seq)
-    p.add_argument("--out-loss-map", help="per-pixel loss of the last iteration (PFM)")
-    p.add_argument("--out-weight-map", help="weight map of the last iteration (PFM)")
+    p.add_argument("--out-loss-map", type=_path,
+                   help="per-pixel loss of the last iteration (PFM)")
+    p.add_argument("--out-weight-map", type=_path,
+                   help="weight map of the last iteration (PFM)")
     _add_common_params(p)
 
     p = sub.add_parser("eval", help="write the metric report CSV")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--valid", help="extra validity mask (PGM)")
-    p.add_argument("--region", help="matched-region mask (PGM)")
+    p.add_argument("--pred", type=_path, required=True)
+    p.add_argument("--gt", type=_path, required=True)
+    p.add_argument("--valid", type=_path, help="extra validity mask (PGM)")
+    p.add_argument("--region", type=_path, help="matched-region mask (PGM)")
     p.add_argument("--task", choices=(FLOW, STEREO), default=FLOW)
-    p.add_argument("--out", help="output CSV path (default stdout)")
+    p.add_argument("--out", type=_path, help="output CSV path (default stdout)")
 
     p = sub.add_parser("reverse-disparity",
                        help="flip and negate a flipped-pair disparity estimate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p.add_argument("--input", type=_path, required=True)
+    p.add_argument("--output", type=_path, required=True)
 
     p = sub.add_parser("toytrain", help="run the loss-mode comparison at toy scale")
-    p.add_argument("--config", required=True, help="key = value config file")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--config", type=_path, required=True, help="key = value config file")
+    p.add_argument("--out-dir", type=_path, required=True)
 
     return parser
 

@@ -206,7 +206,9 @@ def _cell(value) -> str:
 
 def write_metrics_csv(report: MetricReport, stream) -> None:
     """One header row plus one data row; None becomes "NA", floats get 4
-    decimals. The column order is fixed (see METRICS_COLUMNS)."""
+    decimals. The column order is fixed (see METRICS_COLUMNS). ``avg_err``
+    is ``epe`` and each ``bad_p`` is the outlier rate at p px, so bad_1 and
+    bad_3 repeat px1 and px3."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
     row = (
@@ -214,8 +216,8 @@ def write_metrics_csv(report: MetricReport, stream) -> None:
         + [report.outlier_rates[t] for t in OUTLIER_THRESHOLDS]
         + [report.fl_all]
         + list(report.speed_binned_epe)
-        + [report.matched_epe, report.unmatched_epe, report.avg_err]
-        + [report.bad_p[t] for t in BAD_P_THRESHOLDS]
+        + [report.matched_epe, report.unmatched_epe, report.epe]
+        + [report.outlier_rates[t] for t in BAD_P_THRESHOLDS]
         + [report.pixel_counts["valid"], report.pixel_counts["matched"],
            report.pixel_counts["unmatched"]]
     )

@@ -19,7 +19,13 @@ BAD_P_THRESHOLDS = (0.5, 1.0, 2.0, 3.0)
 
 @dataclass(frozen=True)
 class MetricReport:
-    """One row's worth of evaluation numbers. None marks ``not available``."""
+    """One row's worth of evaluation numbers. None marks ``not available``.
+
+    ``outlier_rates`` maps every threshold of OUTLIER_THRESHOLDS (flow's px
+    rates) and BAD_P_THRESHOLDS (stereo's bad-p rates) to the percentage of
+    valid pixels with error strictly above it. The mean error serves as both
+    flow's EPE and stereo's average error.
+    """
 
     epe: float | None
     outlier_rates: dict[float, float | None]
@@ -27,8 +33,6 @@ class MetricReport:
     speed_binned_epe: tuple[float | None, float | None, float | None]
     matched_epe: float | None
     unmatched_epe: float | None
-    avg_err: float | None
-    bad_p: dict[float, float | None]
     pixel_counts: dict[str, int]
 
 
@@ -54,61 +58,12 @@ def magnitude_map(gt: Grid2 | Grid1) -> Grid1:
     return Grid1(np.abs(gt.data))
 
 
-def aggregate_epe(e: Grid1, valid: BinaryMask,
-                  region: BinaryMask | None = None) -> float | None:
-    """Mean error over valid (optionally region-restricted) pixels."""
-    check_same_shape(e, valid)
-    sel = valid.data
-    if region is not None:
-        check_same_shape(e, region)
-        sel = sel & region.data
-    n = int(sel.sum())
-    if n == 0:
-        return None
-    return float(e.data[sel].mean())
+def _mean(values: np.ndarray) -> float | None:
+    return float(values.mean()) if values.size else None
 
 
-def outlier_rate(e: Grid1, valid: BinaryMask, threshold: float) -> float | None:
-    """Percentage of valid pixels with error strictly above the threshold."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    check_same_shape(e, valid)
-    n = valid.count()
-    if n == 0:
-        return None
-    return float(100.0 * np.count_nonzero(e.data[valid.data] > threshold) / n)
-
-
-def fl_all(e: Grid1, gt_mag: Grid1, valid: BinaryMask) -> float | None:
-    """Percentage of valid pixels with error > 3 px and > 5% of the GT magnitude."""
-    check_same_shape(e, gt_mag, valid)
-    n = valid.count()
-    if n == 0:
-        return None
-    err = e.data[valid.data]
-    mag = gt_mag.data[valid.data]
-    bad = (err > 3.0) & (err > 0.05 * mag)
-    return float(100.0 * np.count_nonzero(bad) / n)
-
-
-def speed_binned_epe(e: Grid1, gt_mag: Grid1, valid: BinaryMask):
-    """Mean error split by GT magnitude: [0, 10), [10, 40], (40, inf)."""
-    check_same_shape(e, gt_mag, valid)
-    mag = gt_mag.data
-    bins = (mag < 10.0, (mag >= 10.0) & (mag <= 40.0), mag > 40.0)
-    out = []
-    for sel in bins:
-        sel = sel & valid.data
-        n = int(sel.sum())
-        out.append(float(e.data[sel].mean()) if n else None)
-    return tuple(out)
-
-
-def stereo_metrics(e: Grid1, gt: Grid1, valid: BinaryMask):
-    """(bad_p map over {0.5, 1, 2, 3} px, mean absolute error)."""
-    check_same_shape(e, gt, valid)
-    bad_p = {t: outlier_rate(e, valid, t) for t in BAD_P_THRESHOLDS}
-    return bad_p, aggregate_epe(e, valid)
+def _percent(bad: np.ndarray) -> float | None:
+    return float(100.0 * np.count_nonzero(bad) / bad.size) if bad.size else None
 
 
 def full_report(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
@@ -117,29 +72,32 @@ def full_report(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
 
     The region mask selects the matched pixels; its complement is the
     unmatched region. All metrics derive from the error and GT-magnitude
-    maps, so the same report applies to flow fields and disparity maps.
+    maps, so the same report applies to flow fields and disparity maps:
+    the mean error over the valid pixels; the percentage of them with error
+    strictly above each threshold; Fl-all, the percentage with error > 3 px
+    and > 5% of the GT magnitude; the mean error in the GT-magnitude bins
+    [0, 10), [10, 40] and (40, inf); and the mean error of the matched and
+    unmatched valid pixels.
     """
     e = epe_map(pred, gt)
-    mag = magnitude_map(gt)
-    counts = {"valid": valid.count()}
+    check_same_shape(*(g for g in (e, valid, region) if g is not None))
+    err = e.data[valid.data]
+    mag = magnitude_map(gt).data[valid.data]
+    counts = {"valid": err.size, "matched": 0, "unmatched": 0}
+    matched = unmatched = None
     if region is not None:
-        check_same_shape(valid, region)
-        matched = aggregate_epe(e, valid, region)
-        unmatched = aggregate_epe(e, valid, ~region)
-        counts["matched"] = int((valid.data & region.data).sum())
-        counts["unmatched"] = int((valid.data & ~region.data).sum())
-    else:
-        matched = unmatched = None
-        counts["matched"] = counts["unmatched"] = 0
-    bad_p, avg_err = stereo_metrics(e, mag, valid)
+        in_region = region.data[valid.data]
+        matched, unmatched = _mean(err[in_region]), _mean(err[~in_region])
+        counts["matched"] = int(np.count_nonzero(in_region))
+        counts["unmatched"] = err.size - counts["matched"]
+    bins = (mag < 10.0, (mag >= 10.0) & (mag <= 40.0), mag > 40.0)
     return MetricReport(
-        epe=aggregate_epe(e, valid),
-        outlier_rates={t: outlier_rate(e, valid, t) for t in OUTLIER_THRESHOLDS},
-        fl_all=fl_all(e, mag, valid),
-        speed_binned_epe=speed_binned_epe(e, mag, valid),
+        epe=_mean(err),
+        outlier_rates={t: _percent(err > t)
+                       for t in sorted({*OUTLIER_THRESHOLDS, *BAD_P_THRESHOLDS})},
+        fl_all=_percent((err > 3.0) & (err > 0.05 * mag)),
+        speed_binned_epe=tuple(_mean(err[b]) for b in bins),
         matched_epe=matched,
         unmatched_epe=unmatched,
-        avg_err=avg_err,
-        bad_p=bad_p,
         pixel_counts=counts,
     )

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oracles
 from confloss import (
@@ -308,20 +309,30 @@ def test_criterion_6_occlusion_agreement():
         assert agreement >= 0.95, f"seed {seed}: {agreement:.3f}"
 
 
-@criterion(7, "toy-training direction check")
-def test_criterion_7_training_directions():
-    start = time.monotonic()
-    seeds = tuple(range(10))
-    scenes = [synth_scene(SceneSpec(seed=s)) for s in seeds]
+@pytest.fixture(scope="module")
+def toy_runs():
+    """The toy runs of criteria 7 and 9: 500 steps on the default scene of
+    seeds 0-9, per loss mode. Each mode is trained once per module, when first
+    asked for, so criterion 9 reuses the plain_l1 runs that criterion 7 times."""
+    @functools.cache
+    def scenes():
+        return [synth_scene(SceneSpec(seed=s)) for s in range(10)]
 
+    @functools.cache
     def run(mode):
         cfg = TrainConfig(steps=500, learning_rate=0.05,
                           loss_spec=WeightSpec.flow_defaults(mode))
-        return [train(scene, BlockFlowModel(64, 64), cfg) for scene in scenes]
+        return [train(scene, BlockFlowModel(64, 64), cfg) for scene in scenes()]
 
-    baseline = run("plain_l1")
-    oa = run("oa")
-    db = run("db")
+    return run
+
+
+@criterion(7, "toy-training direction check")
+def test_criterion_7_training_directions(toy_runs):
+    start = time.monotonic()
+    baseline = toy_runs("plain_l1")
+    oa = toy_runs("oa")
+    db = toy_runs("db")
     oa_wins = sum(o.report.matched_epe <= b.report.matched_epe
                   for o, b in zip(oa, baseline))
     db_wins = sum(d.report.outlier_rates[3.0] < b.report.outlier_rates[3.0]
@@ -347,3 +358,20 @@ def test_criterion_8_determinism(tmp_path):
     for report in (tmp_path / "a").glob("report_*.csv"):
         twin = tmp_path / "b" / report.name
         assert report.read_bytes() == twin.read_bytes()
+
+
+@criterion(9, "combining DB and OA: sum beats plain L1 on both of criterion 7's metrics")
+def test_criterion_9_combination(toy_runs):
+    start = time.monotonic()
+    baseline = toy_runs("plain_l1")
+    combined = toy_runs("sum")
+    epe_wins = sum(c.report.matched_epe <= b.report.matched_epe
+                   for c, b in zip(combined, baseline))
+    px3_wins = sum(c.report.outlier_rates[3.0] < b.report.outlier_rates[3.0]
+                   for c, b in zip(combined, baseline))
+    elapsed = time.monotonic() - start
+    print(f"\n  sum matched-EPE wins: {epe_wins}/10, 3PX wins: {px3_wins}/10, "
+          f"{elapsed:.0f}s")
+    assert epe_wins >= 7, f"sum won matched EPE in only {epe_wins}/10 seeds"
+    assert px3_wins >= 7, f"sum won 3PX in only {px3_wins}/10 seeds"
+    assert elapsed < 300.0, f"criterion 9 took {elapsed:.0f}s"

@@ -335,6 +335,49 @@ class TestLoader:
         assert capsys.readouterr().err == (
             f"confloss: error: input dimensions disagree ({dims})\n")
 
+    @pytest.mark.parametrize("template, option", [
+        pytest.param(template, option, id=template.split()[0] + option)
+        for template, options in {
+            "confmap --mode db --pred {flo} --gt {flo} --out-pfm {out} --out-pgm {out2}":
+                ("--pred", "--gt", "--out-pfm", "--out-pgm"),
+            "confmap --mode oa --forward {flo} --backward {flo} --out-pgm {out}":
+                ("--forward", "--backward"),
+            "occmask --forward {flo} --backward {flo} --out-pgm {out}":
+                ("--forward", "--backward", "--out-pgm"),
+            "loss --mode oa --pred {flo} --gt {flo} --backward {flo} "
+            "--out-loss-map {out} --out-weight-map {out2}":
+                ("--pred", "--gt", "--backward", "--out-loss-map", "--out-weight-map"),
+            "eval --pred {flo} --gt {flo} --valid {mask} --region {mask} --out {out}":
+                ("--pred", "--gt", "--valid", "--region", "--out"),
+            "reverse-disparity --input {pfm} --output {out}": ("--input", "--output"),
+            "toytrain --config {cfg} --out-dir {out}": ("--config", "--out-dir"),
+        }.items()
+        for option in options
+    ])
+    def test_empty_path_is_usage_error(self, tmp_path, rng, capsys, monkeypatch,
+                                       template, option):
+        """An empty path is rejected before any file is read or written,
+        instead of being skipped or read as the working directory."""
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("steps = 1\nmodes = plain_l1\n")
+        mask = tmp_path / "m.pgm"
+        mask.write_bytes(write_pgm(BinaryMask(np.eye(3, 4, dtype=bool))))
+        paths = {"flo": flo(tmp_path / "f.flo", rng.normal(size=(3, 4, 2)).astype(np.float32)),
+                 "pfm": pfm(tmp_path / "d.pfm", np.ones((3, 4), np.float32)),
+                 "mask": str(mask), "cfg": str(cfg),
+                 "out": str(tmp_path / "out"), "out2": str(tmp_path / "out2")}
+        argv = [arg.format(**paths) for arg in template.split()]
+        argv[argv.index(option) + 1] = ""
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: expected a path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out2").exists()
+        assert not any(work.iterdir())
+
     def test_loss_reads_each_field_once(self, tmp_path, rng, capsys, monkeypatch):
         read_flo, calls = fileio.read_flo, []
         monkeypatch.setattr(fileio, "read_flo", lambda data: calls.append(data) or read_flo(data))

@@ -239,13 +239,11 @@ class TestPgm:
 def _sample_report(**overrides):
     fields = dict(
         epe=1.5,
-        outlier_rates={1.0: 10.0, 3.0: 5.0, 5.0: 1.0},
+        outlier_rates={0.5: 50.0, 1.0: 10.0, 2.0: 7.0, 3.0: 5.0, 5.0: 1.0},
         fl_all=4.0,
         speed_binned_epe=(0.5, 1.0, None),
         matched_epe=1.2,
         unmatched_epe=None,
-        avg_err=1.5,
-        bad_p={0.5: 50.0, 1.0: 25.0, 2.0: 10.0, 3.0: 5.0},
         pixel_counts={"valid": 64, "matched": 60, "unmatched": 4},
     )
     fields.update(overrides)
@@ -263,6 +261,9 @@ class TestMetricsCsv:
         assert cells["epe_unmatched"] == "NA"
         assert cells["s40plus"] == "NA"
         assert cells["n_valid"] == "64"
+        assert cells["avg_err"] == cells["epe"]
+        assert (cells["bad_1"], cells["bad_3"]) == (cells["px1"], cells["px3"])
+        assert (cells["bad_0.5"], cells["bad_2"]) == ("50.0000", "7.0000")
 
     def test_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
