@@ -49,14 +49,18 @@ def confidence_db_flow(pred: Grid2, gt: Grid2, valid: BinaryMask) -> ConfidenceM
     check_same_shape(pred, gt, valid)
     d = gt.data - pred.data
     m = np.exp(-(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
-    return Grid1(np.where(valid.data, m, 0.0))
+    return Grid1._own(np.where(valid.data, m, 0.0))
 
 
 def confidence_db_stereo(pred: Grid1, gt: Grid1, valid: BinaryMask) -> ConfidenceMap:
     """Error-based confidence exp(-(d_gt - d_pred)^2); 0 on invalid pixels."""
     check_same_shape(pred, gt, valid)
-    m = np.exp(-((gt.data - pred.data) ** 2))
-    return Grid1(np.where(valid.data, m, 0.0))
+    m = gt.data - pred.data  # updated in place, as in losses.weight_combine
+    m **= 2
+    np.negative(m, out=m)
+    np.exp(m, out=m)
+    np.copyto(m, 0.0, where=~valid.data)
+    return Grid1._own(m)
 
 
 def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
@@ -90,10 +94,15 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
         warn_negative_disparity(f_bw)
         d = f_fw.data
         b, target_valid = sample_values(f_bw.data, np.arange(w, dtype=np.float64) - d, None)
-        num = (b - d) ** 2
-        mag2 = d * d + b * b
-    den = params.gamma1 * mag2 + params.gamma2
-    return Grid1(num), Grid1(den), BinaryMask(target_valid)
+        num = b - d  # fresh arrays updated in place, as in the formulas above
+        num **= 2
+        b *= b
+        mag2 = d * d
+        mag2 += b
+    den = mag2
+    den *= params.gamma1
+    den += params.gamma2
+    return Grid1._own(num), Grid1._own(den), BinaryMask._own(target_valid)
 
 
 def matched_from_terms(num: Grid1, den: Grid1, target_valid: BinaryMask) -> BinaryMask:
@@ -102,7 +111,7 @@ def matched_from_terms(num: Grid1, den: Grid1, target_valid: BinaryMask) -> Bina
     A pixel is matched when numerator < denominator (strict) and its warp
     target lies inside the frame.
     """
-    return BinaryMask((num.data < den.data) & target_valid.data)
+    return BinaryMask._own((num.data < den.data) & target_valid.data)
 
 
 def confidence_from_terms(num: Grid1, den: Grid1,
@@ -111,8 +120,11 @@ def confidence_from_terms(num: Grid1, den: Grid1,
 
     Off-frame warp targets get confidence 0: no correspondence can exist.
     """
-    m = np.exp(-num.data / den.data)
-    return Grid1(np.where(target_valid.data, m, 0.0))
+    m = np.negative(num.data)
+    m /= den.data
+    np.exp(m, out=m)
+    np.copyto(m, 0.0, where=~target_valid.data)
+    return Grid1._own(m)
 
 
 def occlusion_mask(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,

@@ -4,7 +4,17 @@ public helper disparity_to_flow, which the library itself does not use).
 
 All grids are row-major with (row y, column x) indexing, x horizontal.
 Values are immutable after construction, so they are safe to share across
-threads; constructors reject NaN/Inf.
+threads.
+
+Validation happens at the boundary. The public constructors (Grid2(...),
+Grid1(...), BinaryMask(...) and their zeros/full/constant helpers) copy the
+caller's array and reject NaN/Inf, and the file readers zero and mark
+invalid the samples they cannot read. The library wraps its own results with
+the private _Grid._own, which neither copies nor scans: it is handed only
+arrays the library has just allocated, never a caller's array. Finite inputs
+give finite results unless a computation overflows, which numpy reports as a
+RuntimeWarning, or raises under np.errstate(over="raise") as toytrain.train
+runs.
 """
 
 from __future__ import annotations
@@ -25,9 +35,26 @@ def check_finite(obj, *names: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """Shared base of the grid types: an immutable (H, W[, C]) array."""
+    """Shared base of the grid types: an immutable (H, W[, C]) array.
+
+    The public constructor validates and copies (see _store); _own wraps a
+    fresh library result as is.
+    """
 
     data: np.ndarray
+
+    @classmethod
+    def _own(cls, arr: np.ndarray):
+        """Wrap arr without a copy or a check, and make it read-only.
+
+        Only for arrays the library has just allocated, of the subclass's
+        dtype and shape, that nobody else holds: never a caller's array, which
+        the caller could still write to.
+        """
+        arr.setflags(write=False)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "data", arr)
+        return grid
 
     def _store(self, arr: np.ndarray) -> None:
         """Check arr's dimensions (and finiteness, if float) and keep a read-only copy."""
@@ -120,10 +147,11 @@ class BinaryMask(_Grid):
         return int(self.data.sum())
 
     def __invert__(self) -> "BinaryMask":
-        return BinaryMask(~self.data)
+        return BinaryMask._own(~self.data)
 
     def __and__(self, other: "BinaryMask") -> "BinaryMask":
-        return BinaryMask(self.data & other.data)
+        check_same_shape(self, other)
+        return BinaryMask._own(self.data & other.data)
 
 
 def check_same_shape(*grids) -> tuple[int, int]:
@@ -155,14 +183,21 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
             raise ValueError(f"row sampling needs (H, W) data and xs, got "
                              f"{data.shape} and {xs.shape}")
         inb = (xs >= 0.0) & (xs <= w - 1.0)
-        xc = np.clip(xs, 0.0, w - 1.0)
-        x0 = np.floor(xc).astype(np.intp)
-        fx = xc - x0
-        i00 = x0 + np.arange(0, h * w, w)[:, None]
-        i01 = i00 + (x0 < w - 1)
+        # Clipped coordinates are >= 0, so truncation is the floor.
+        fx = np.clip(xs, 0.0, w - 1.0)
+        i00 = fx.astype(np.intp)
+        fx -= i00
+        step_x = i00 < w - 1
+        i00 += np.arange(0, h * w, w)[:, None]
         plane = data.reshape(-1)
-        values = plane.take(i00) * (1.0 - fx) + plane.take(i01) * fx
-        return np.where(inb, values, 0.0), inb
+        values = plane.take(i00)
+        values *= 1.0 - fx
+        i00 += step_x
+        right = plane.take(i00)
+        right *= fx
+        values += right
+        np.copyto(values, 0.0, where=~inb)
+        return values, inb
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape:
         xs, ys = np.broadcast_arrays(xs, ys)
@@ -237,15 +272,13 @@ def backward_warp(field: Grid2 | Grid1, flow: Grid2):
     tx = xs + flow.data[..., 0]
     ty = ys + flow.data[..., 1]
     values, inb = sample_values(field.data, tx, ty)
-    warped = Grid2(values) if isinstance(field, Grid2) else Grid1(values)
-    return warped, BinaryMask(inb)
+    return type(field)._own(values), BinaryMask._own(inb)
 
 
 def hflip(field: Grid2 | Grid1 | BinaryMask):
     """Mirror columns (j -> width-1-j). No sign change on Grid2 components;
     sign handling for reverse disparities lives in reverse_disparity_restore."""
-    flipped = field.data[:, ::-1].copy()
-    return type(field)(flipped)
+    return type(field)._own(field.data[:, ::-1].copy())
 
 
 def reverse_disparity_restore(d_flipped_estimate: Grid1) -> Grid1:
@@ -254,7 +287,7 @@ def reverse_disparity_restore(d_flipped_estimate: Grid1) -> Grid1:
     output(y, j) = -d_flipped_estimate(y, width-1-j). Applying it twice is
     the identity (bit-exact).
     """
-    return Grid1(-d_flipped_estimate.data[:, ::-1])
+    return Grid1._own(-d_flipped_estimate.data[:, ::-1])
 
 
 def warn_negative_disparity(d: Grid1) -> None:
@@ -281,4 +314,4 @@ def disparity_to_flow(d: Grid1, direction: str) -> Grid2:
     sign = -1.0 if direction == LEFT_TO_RIGHT else 1.0
     out = np.zeros((d.height, d.width, 2))
     out[..., 0] = sign * d.data
-    return Grid2(out)
+    return Grid2._own(out)

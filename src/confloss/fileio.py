@@ -55,7 +55,7 @@ def read_flo(data: bytes):
     known = ok[..., 0] & ok[..., 1]
     flow = raw.astype(np.float64)
     flow[~known] = 0.0
-    return Grid2(flow), BinaryMask(known)
+    return Grid2._own(flow), BinaryMask._own(known)
 
 
 def write_flo(flow: Grid2) -> bytes:
@@ -123,7 +123,7 @@ def read_pfm(data: bytes):
     payload = np.frombuffer(data, dtype=endian + "f4", offset=pos, count=n)
     raw = payload.astype(np.float64).reshape(height, width)[::-1]
     finite = np.isfinite(raw)
-    return Grid1(np.where(finite, raw, 0.0)), BinaryMask(finite)
+    return Grid1._own(np.where(finite, raw, 0.0)), BinaryMask._own(finite)
 
 
 def write_pfm(grid: Grid1) -> bytes:
@@ -184,7 +184,7 @@ def read_pgm_mask(data: bytes) -> BinaryMask:
     if len(data) - pos < n:
         raise FormatError("truncated", f"PGM payload has {len(data) - pos} bytes, needs {n}")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=pos, count=n).reshape(height, width)
-    return BinaryMask(pixels >= (maxval + 1) // 2)
+    return BinaryMask._own(pixels >= (maxval + 1) // 2)
 
 
 METRICS_COLUMNS = (

@@ -137,7 +137,7 @@ def weight_db(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     data = _check_unit_range(m)
-    return Grid1(1.0 + alpha * (1.0 - data) ** beta)
+    return Grid1._own(1.0 + alpha * (1.0 - data) ** beta)
 
 
 def weight_oa(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
@@ -145,7 +145,7 @@ def weight_oa(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     data = _check_unit_range(m)
-    return Grid1(1.0 + alpha * data**beta)
+    return Grid1._own(1.0 + alpha * data**beta)
 
 
 def weight_combine(m_db: ConfidenceMap, m_oa: ConfidenceMap | None,
@@ -161,15 +161,23 @@ def weight_combine(m_db: ConfidenceMap, m_oa: ConfidenceMap | None,
     if ("oa" in uses and m_oa is None) or ("hard" in uses and hard is None):
         raise ValueError(f"mode {spec.mode!r} needs the cycle-based map")
     check_same_shape(*(g for g in (m_db, m_oa, hard) if g is not None))
-    db_term = spec.alpha1 * (1.0 - _check_unit_range(m_db)) ** spec.beta1
+    # Fresh arrays updated in place: the operations of the module docstring's
+    # formulas, in their order (so the same bits), without a frame-sized
+    # temporary for each.
+    w = 1.0 - _check_unit_range(m_db)
+    w **= spec.beta1
+    w *= spec.alpha1
     if "hard" in uses:
-        db_term = np.where(hard.data, db_term, 0.0)
-    if "oa" not in uses:
-        return Grid1(1.0 + db_term)
-    oa_term = spec.alpha2 * _check_unit_range(m_oa) ** spec.beta2
+        np.copyto(w, 0.0, where=~hard.data)
+    if "oa" in uses:
+        oa_term = _check_unit_range(m_oa) ** spec.beta2
+        oa_term *= spec.alpha2
     if spec.mode == MULTIPLICATION:
-        return Grid1(1.0 + db_term * oa_term)
-    return Grid1(1.0 + db_term + oa_term)
+        w *= oa_term
+    w += 1.0
+    if spec.mode in (SUM, MASK_SUM):
+        w += oa_term
+    return Grid1._own(w)
 
 
 def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
@@ -190,14 +198,23 @@ def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
 
     residual = gt.data - pred.data
     # One (H, W) plane per component: u and v for flow, d for stereo.
-    planes = (residual[..., 0], residual[..., 1]) if isinstance(pred, Grid2) else (residual,)
-    per_pixel = sum(np.abs(r) for r in planes)
-    grads = [np.where(valid.data, weights.data * -np.sign(r), 0.0) for r in planes]
-    grad = Grid2(np.stack(grads, axis=-1)) if isinstance(pred, Grid2) else Grid1(grads[0])
+    flow = isinstance(pred, Grid2)
+    planes = (residual[..., 0], residual[..., 1]) if flow else (residual,)
+    per_pixel = np.abs(planes[0]) + np.abs(planes[1]) if flow else np.abs(residual)
+    # Fresh arrays updated in place, as in weight_combine.
+    invalid = ~valid.data
+    grads = [np.sign(r) for r in planes]
+    for g in grads:  # w * -sign(r), 0 on invalid pixels
+        np.negative(g, out=g)
+        g *= weights.data
+        np.copyto(g, 0.0, where=invalid)
+    grad = Grid2._own(np.stack(grads, axis=-1)) if flow else Grid1._own(grads[0])
 
-    loss_map = np.where(valid.data, weights.data * per_pixel, 0.0)
+    loss_map = per_pixel
+    loss_map *= weights.data
+    np.copyto(loss_map, 0.0, where=invalid)
     scalar = float(loss_map.sum() / n_valid)
-    return LossResult(scalar=scalar, weight_map=weights, loss_map=Grid1(loss_map),
+    return LossResult(scalar=scalar, weight_map=weights, loss_map=Grid1._own(loss_map),
                       grad=grad, n_valid=n_valid)
 
 
@@ -213,7 +230,7 @@ def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
     h, w = check_same_shape(pred, gt, valid)
     uses = _FACTORS[spec.mode]
     if not uses:
-        return Grid1.full(h, w, 1.0)
+        return Grid1._own(np.ones((h, w)))
 
     stereo = isinstance(pred, Grid1)
     m_db = m_oa = hard = None

@@ -46,16 +46,16 @@ def epe_map(pred: Grid2 | Grid1, gt: Grid2 | Grid1) -> Grid1:
     check_same_shape(pred, gt)
     if isinstance(pred, Grid2):
         d = pred.data - gt.data
-        return Grid1(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
-    return Grid1(np.abs(pred.data - gt.data))
+        return Grid1._own(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
+    return Grid1._own(np.abs(pred.data - gt.data))
 
 
 def magnitude_map(gt: Grid2 | Grid1) -> Grid1:
     """Euclidean magnitude of the ground-truth field."""
     if isinstance(gt, Grid2):
         u, v = gt.data[..., 0], gt.data[..., 1]
-        return Grid1(np.sqrt(u * u + v * v))
-    return Grid1(np.abs(gt.data))
+        return Grid1._own(np.sqrt(u * u + v * v))
+    return Grid1._own(np.abs(gt.data))
 
 
 def _mean(values: np.ndarray) -> float | None:

@@ -32,10 +32,11 @@ class TrainingDivergedError(RuntimeError):
 
 @contextmanager
 def _diverges_at(step: int):
-    """Report a ValueError raised on a non-finite map as divergence at step."""
+    """Report numpy's FloatingPointError (train runs under a raising
+    np.errstate) or a ValueError from a library check as divergence at step."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise TrainingDivergedError(step, str(exc)) from exc
 
 
@@ -233,6 +234,16 @@ class TrainReport:
     snapshots: list[tuple[int, Grid1, Grid1]]
 
 
+def _predictions(models, step: int) -> list[Grid2]:
+    """Each model's upsampled prediction. Parameters a caller set to NaN/Inf
+    surface here as divergence; finite ones stay finite or overflow, which
+    np.errstate(over="raise") turns into an error."""
+    data = [m.upsample(m.params) for m in models]
+    if not all(np.all(np.isfinite(d)) for d in data):
+        raise TrainingDivergedError(step, "prediction is not finite")
+    return [Grid2._own(d) for d in data]
+
+
 def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainReport:
     """Fit forward and backward block models with plain gradient descent.
 
@@ -256,32 +267,26 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
     loss_history: list[float] = []
     snapshots: list[tuple[int, Grid1, Grid1]] = []
 
-    # Divergence is detected below from the values themselves, so numpy's
-    # overflow warnings on the way there are noise.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Every map below is built from finite predictions, so the library wraps
+    # it without a NaN/Inf scan; an overflow or invalid operation on the way
+    # raises FloatingPointError instead, and _diverges_at reports it.
+    with np.errstate(over="raise", invalid="raise"):
         for step in range(config.steps):
-            data = [m.upsample(m.params) for m in models]
-            if not all(np.all(np.isfinite(d)) for d in data):
-                raise TrainingDivergedError(step, "prediction is not finite")
-            preds = [Grid2(d) for d in data]
-
-            if step % config.recompute_confidence_every == 0:
-                with _diverges_at(step):
+            with _diverges_at(step):
+                preds = _predictions(models, step)
+                if step % config.recompute_confidence_every == 0:
                     weights = [build_weights(spec, pred, label, scene.valid, backward=other)
                                for pred, label, other in zip(preds, labels, preds[::-1])]
 
-            results = [weighted_l1(pred, label, weight, scene.valid)
-                       for pred, label, weight in zip(preds, labels, weights)]
-            if not np.isfinite(results[0].scalar):
-                raise TrainingDivergedError(step, f"loss is {results[0].scalar}")
-            loss_history.append(results[0].scalar)
+                results = [weighted_l1(pred, label, weight, scene.valid)
+                           for pred, label, weight in zip(preds, labels, weights)]
+                loss_history.append(results[0].scalar)
 
-            for m, res, weight in zip(models, results, weights):
-                m.params -= config.learning_rate * m.footprint_weighted_mean(
-                    res.grad.data, np.where(scene.valid.data, weight.data, 0.0))
+                for m, res, weight in zip(models, results, weights):
+                    m.params -= config.learning_rate * m.footprint_weighted_mean(
+                        res.grad.data, np.where(scene.valid.data, weight.data, 0.0))
 
-            if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
-                with _diverges_at(step):
+                if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
                     snapshots.append((step + 1,
                                       confidence_db_flow(preds[0], labels[0], scene.valid),
                                       confidence_oa(*preds, spec.cycle)))
@@ -289,7 +294,7 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
         # The final prediction has taken every step, so an overflow in it
         # counts as divergence at step `steps`.
         with _diverges_at(config.steps):
-            final_fw, final_bw = (m.predict() for m in models)
+            final_fw, final_bw = _predictions(models, config.steps)
             # Scored against the clean ground truth; matched region = not occluded.
             report = full_report(final_fw, scene.gt_forward, scene.valid,
                                  region=~scene.occlusion)

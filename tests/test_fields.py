@@ -53,6 +53,23 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             g.data[0, 0] = 1.0
 
+    @pytest.mark.parametrize("cls, arr", [
+        (Grid2, np.arange(12.0).reshape(2, 3, 2)),
+        (Grid1, np.arange(6.0).reshape(2, 3)),
+        (BinaryMask, np.array([[True, False, True], [False, True, False]])),
+    ])
+    def test_public_constructor_copies(self, cls, arr):
+        g = cls(arr)
+        assert arr.flags.writeable and not np.shares_memory(g.data, arr)
+        before = g.data.copy()
+        arr[0, 0] = ~arr[0, 0] if arr.dtype == bool else -7.0
+        np.testing.assert_array_equal(g.data, before)
+
+    def test_mask_and_rejects_mismatched_shapes(self):
+        # Broadcasting would turn (4, 1) & (1, 3) into a (4, 3) mask.
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            BinaryMask.full(4, 1) & BinaryMask.full(1, 3)
+
 
 class TestBilinearSample:
     def test_exact_at_lattice_point(self):

@@ -82,6 +82,8 @@ class TestFlo:
         expected = np.where(known[None, :, None], raw.astype(np.float64), 0.0)
         np.testing.assert_array_equal(grid.data, expected)
         assert np.array_equal(np.signbit(grid.data), np.signbit(expected))
+        assert np.isfinite(grid.data).all()
+        assert not grid.data.flags.writeable and not valid.data.flags.writeable
 
     def test_bad_magic(self):
         with pytest.raises(FormatError) as err:
@@ -174,6 +176,8 @@ class TestPfm:
         grid, valid = read_pfm(blob)
         assert grid.data[0, 0] == 0.0 and not valid.data[0, 0]
         assert grid.data[0, 1] == 1.0 and valid.data[0, 1]
+        assert np.isfinite(grid.data).all()
+        assert not grid.data.flags.writeable and not valid.data.flags.writeable
 
     @given(st.binary(max_size=200))
     @settings(max_examples=150)
