@@ -32,7 +32,7 @@ from .toytrain import (BLOCK_SIZE, SceneSpec, TrainConfig, TrainingDivergedError
                        compare_runs, synth_scene)
 
 FLOW, STEREO = "flow", "stereo"
-_TASK_SPECS = {FLOW: WeightSpec.flow_defaults, STEREO: WeightSpec.stereo_defaults}
+_TASK_SPECS = {FLOW: WeightSpec, STEREO: WeightSpec.stereo_defaults}
 _WEIGHT_PARAMS = ("alpha1", "beta1", "alpha2", "beta2")
 
 
@@ -195,7 +195,7 @@ def cmd_confmap(args) -> int:
     if args.out_pfm:
         Path(args.out_pfm).write_bytes(fileio.write_pfm(conf))
     if args.out_pgm:
-        Path(args.out_pgm).write_bytes(fileio.write_pgm(conf, value_range=(0.0, 1.0)))
+        Path(args.out_pgm).write_bytes(fileio.write_pgm(conf))
     return 0
 
 
@@ -247,7 +247,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reverse_disparity(args) -> int:
-    (grid,), _ = _load_fields(STEREO, args.input)
+    (grid,), (valid,) = _load_fields(STEREO, args.input)
+    unknown = grid.height * grid.width - valid.count()
+    if unknown:
+        raise DataError(f"{args.input}: {unknown} unknown (NaN or Inf) samples; "
+                        "reverse-disparity needs every disparity")
     Path(args.output).write_bytes(fileio.write_pfm(reverse_disparity_restore(grid)))
     return 0
 
@@ -314,14 +318,11 @@ def cmd_toytrain(args) -> int:
         scene_spec = SceneSpec(**given[SceneSpec])
         modes = cfg.get("modes", ("plain_l1", "db", "oa", "multiplication"))
         cycle = CycleParams(**given[CycleParams])
-        configs = [
-            TrainConfig(loss_spec=WeightSpec.flow_defaults(mode, cycle=cycle, **given[WeightSpec]),
-                        **given[TrainConfig])
-            for mode in modes
-        ]
+        specs = [WeightSpec(mode, cycle=cycle, **given[WeightSpec]) for mode in modes]
+        config = TrainConfig(**given[TrainConfig])
         scenes = [synth_scene(replace(scene_spec, seed=s))
                   for s in cfg.get("seeds", (scene_spec.seed,))]
-        rows = compare_runs(configs, scenes, cfg.get("block_size", BLOCK_SIZE))
+        rows = compare_runs(config, specs, scenes, cfg.get("block_size", BLOCK_SIZE))
     except (ValueError, TrainingDivergedError) as exc:
         raise DataError(str(exc)) from exc
 
@@ -336,10 +337,8 @@ def cmd_toytrain(args) -> int:
                 fileio.write_metrics_csv(report.report, fh)
             for step, m_db, m_oa in report.snapshots:
                 base = f"{row.mode}_seed{seed}_step{step}"
-                (out_dir / f"mdb_{base}.pgm").write_bytes(
-                    fileio.write_pgm(m_db, value_range=(0.0, 1.0)))
-                (out_dir / f"moa_{base}.pgm").write_bytes(
-                    fileio.write_pgm(m_oa, value_range=(0.0, 1.0)))
+                (out_dir / f"mdb_{base}.pgm").write_bytes(fileio.write_pgm(m_db))
+                (out_dir / f"moa_{base}.pgm").write_bytes(fileio.write_pgm(m_oa))
     print(f"wrote {out_dir / 'comparison.csv'}")
     return 0
 

@@ -172,6 +172,8 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
 
     Returns (values, in_bounds). Out-of-bounds samples are 0 with
     in_bounds False. In-bounds means (x, y) in [0, W-1] x [0, H-1].
+    Coordinates must not be NaN: they are not checked, and a NaN cast to a
+    gather index raises IndexError (bilinear_sample maps a NaN off-frame).
     ys=None: `data` and `xs` are (H, W), and xs[y, x] is sampled along row y.
     With ys given, the points are processed in fixed-size chunks; the
     result does not depend on the chunking.
@@ -212,8 +214,8 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
         x, y = xs[start:start + _CHUNK], ys[start:start + _CHUNK]
         # Clamp so indexing stays legal; weights of clamped corners are 0 for
         # in-bounds points and out-of-bounds results are zeroed below. A point
-        # is in bounds iff clipping leaves it unchanged (False for NaN), and
-        # the clipped coordinates are >= 0, so truncation is the floor.
+        # is in bounds iff clipping leaves it unchanged, and the clipped
+        # coordinates are >= 0, so truncation is the floor.
         xc = np.clip(x, 0.0, w - 1.0)
         yc = np.clip(y, 0.0, h - 1.0)
         ok = (xc == x) & (yc == y)

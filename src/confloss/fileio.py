@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import struct
-import warnings
 
 import numpy as np
 
@@ -27,10 +26,6 @@ class FormatError(ValueError):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason
-
-
-class DegenerateRangeWarning(UserWarning):
-    """Requested gray mapping had hi == lo; output is uniform mid-gray."""
 
 
 def read_flo(data: bytes):
@@ -131,34 +126,16 @@ def write_pfm(grid: Grid1) -> bytes:
     return header + grid.data[::-1].astype("<f4").tobytes()
 
 
-def write_pgm(m: Grid1 | BinaryMask,
-              value_range: tuple[float, float] | None = None) -> bytes:
+def write_pgm(m: Grid1 | BinaryMask) -> bytes:
     """Render a map as a binary 8-bit PGM (P5, maxval 255).
 
-    Masks come out bilevel (False=0, True=255). Scalar maps are mapped
-    affinely onto [0, 255] with round-half-up and clamping; the default range
-    is (0, 1) for maps that already lie in [0, 1] (confidence maps) and
-    (min, max) otherwise. A degenerate range produces uniform gray 128 and a
-    DegenerateRangeWarning.
+    Masks come out bilevel (False=0, True=255). Scalar maps are clamped to
+    [0, 1] and mapped onto [0, 255] with round-half-up.
     """
     if isinstance(m, BinaryMask):
         pixels = np.where(m.data, 255, 0).astype(np.uint8)
     else:
-        data = m.data
-        if value_range is None:
-            if data.min() >= 0.0 and data.max() <= 1.0:
-                lo, hi = 0.0, 1.0
-            else:
-                lo, hi = float(data.min()), float(data.max())
-        else:
-            lo, hi = float(value_range[0]), float(value_range[1])
-        if hi == lo:
-            warnings.warn(f"degenerate gray range ({lo}, {hi}); emitting uniform 128",
-                          DegenerateRangeWarning, stacklevel=2)
-            pixels = np.full(data.shape, 128, dtype=np.uint8)
-        else:
-            unit = np.clip((data - lo) / (hi - lo), 0.0, 1.0)
-            pixels = np.floor(unit * 255.0 + 0.5).astype(np.uint8)
+        pixels = np.floor(np.clip(m.data, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
     return header + pixels.tobytes()
 

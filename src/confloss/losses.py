@@ -85,10 +85,6 @@ class WeightSpec:
             raise ValueError("beta values must be > 0")
 
     @classmethod
-    def flow_defaults(cls, mode: str = PLAIN_L1, **overrides) -> "WeightSpec":
-        return cls(mode=mode, **overrides)
-
-    @classmethod
     def stereo_defaults(cls, mode: str = PLAIN_L1, **overrides) -> "WeightSpec":
         return cls(mode=mode, **{"beta1": 1.0, "alpha2": 1.0, **overrides})
 
@@ -134,46 +130,48 @@ def _check_unit_range(m: ConfidenceMap) -> np.ndarray:
 
 def weight_db(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
     """Difficulty-balancing weight 1 + alpha * (1 - M)^beta."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    data = _check_unit_range(m)
-    return Grid1._own(1.0 + alpha * (1.0 - data) ** beta)
+    return weight_combine(m, None, None, WeightSpec(DB, alpha1=alpha, beta1=beta))
 
 
 def weight_oa(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
     """Occlusion-avoiding weight 1 + alpha * M^beta."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    data = _check_unit_range(m)
-    return Grid1._own(1.0 + alpha * data**beta)
+    return weight_combine(None, m, None, WeightSpec(OA, alpha2=alpha, beta2=beta))
 
 
-def weight_combine(m_db: ConfidenceMap, m_oa: ConfidenceMap | None,
+_INPUTS = {"db": "error-based map", "oa": "cycle-based map", "hard": "cycle-based mask"}
+
+
+def weight_combine(m_db: ConfidenceMap | None, m_oa: ConfidenceMap | None,
                    hard: BinaryMask | None, spec: WeightSpec) -> Grid1:
-    """Combined weight map for the four combination modes.
+    """Weight map of every mode but plain_l1 (the module docstring's formulas).
 
-    m_oa may be None for masking, the one combination without the oa term,
-    and hard may be None for sum and multiplication, the two without H.
+    Each of m_db, m_oa and hard may be None when the mode does not use it.
     """
-    if spec.mode not in COMBINATION_MODES:
-        raise ValueError(f"mode {spec.mode!r} is not a combination mode")
     uses = _FACTORS[spec.mode]
-    if ("oa" in uses and m_oa is None) or ("hard" in uses and hard is None):
-        raise ValueError(f"mode {spec.mode!r} needs the cycle-based map")
-    check_same_shape(*(g for g in (m_db, m_oa, hard) if g is not None))
+    if not uses:
+        raise ValueError(f"mode {spec.mode!r} has no weight factor")
+    given = {"db": m_db, "oa": m_oa, "hard": hard}
+    for factor in sorted(uses):
+        if given[factor] is None:
+            raise ValueError(f"mode {spec.mode!r} needs the {_INPUTS[factor]}")
+    check_same_shape(*(g for g in given.values() if g is not None))
     # Fresh arrays updated in place: the operations of the module docstring's
     # formulas, in their order (so the same bits), without a frame-sized
     # temporary for each.
-    w = 1.0 - _check_unit_range(m_db)
-    w **= spec.beta1
-    w *= spec.alpha1
-    if "hard" in uses:
-        np.copyto(w, 0.0, where=~hard.data)
+    w = None
+    if "db" in uses:
+        w = 1.0 - _check_unit_range(m_db)
+        w **= spec.beta1
+        w *= spec.alpha1
+        if "hard" in uses:
+            np.copyto(w, 0.0, where=~hard.data)
     if "oa" in uses:
         oa_term = _check_unit_range(m_oa) ** spec.beta2
         oa_term *= spec.alpha2
-    if spec.mode == MULTIPLICATION:
-        w *= oa_term
+        if w is None:
+            w = oa_term
+        elif spec.mode == MULTIPLICATION:
+            w *= oa_term
     w += 1.0
     if spec.mode in (SUM, MASK_SUM):
         w += oa_term
@@ -245,10 +243,6 @@ def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
         if "hard" in uses:
             hard = matched_from_terms(*terms)
 
-    if spec.mode == DB:
-        return weight_db(m_db, spec.alpha1, spec.beta1)
-    if spec.mode == OA:
-        return weight_oa(m_oa, spec.alpha2, spec.beta2)
     return weight_combine(m_db, m_oa, hard, spec)
 
 

@@ -177,9 +177,6 @@ class BlockFlowModel:
         # Hat function: weight 1 - |c - i| on the two centers around c, 0 elsewhere.
         return np.maximum(0.0, 1.0 - np.abs(c[:, None] - np.arange(n_coarse)))
 
-    def predict(self) -> Grid2:
-        return Grid2(self.upsample(self.params))
-
     def upsample(self, params: np.ndarray) -> np.ndarray:
         """Per channel c: R_y @ params[..., c] @ R_x.T."""
         return np.moveaxis(self._ry @ np.moveaxis(params, -1, 0) @ self._rx.T, 0, -1)
@@ -199,9 +196,6 @@ class BlockFlowModel:
         scattered = self.upsample_transpose(np.dstack((values, mass)))
         num, den = scattered[..., :2], scattered[..., 2:]
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-    def clone(self) -> "BlockFlowModel":
-        return BlockFlowModel(self.height, self.width, self.block_size, params=self.params)
 
 
 @dataclass(frozen=True)
@@ -262,7 +256,8 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
 
     spec = config.loss_spec
     # (forward, backward) pairs: models, their labels, predictions, weights.
-    models = (model.clone(), BlockFlowModel(model.height, model.width, model.block_size))
+    models = (BlockFlowModel(model.height, model.width, model.block_size, params=model.params),
+              BlockFlowModel(model.height, model.width, model.block_size))
     labels = (scene.train_labels, scene.train_labels_backward)
     loss_history: list[float] = []
     snapshots: list[tuple[int, Grid1, Grid1]] = []
@@ -325,31 +320,25 @@ def _mean_or_none(values):
     return float(np.mean(values))
 
 
-def compare_runs(configs: Sequence[TrainConfig], scenes: Sequence[Scene],
+def compare_runs(config: TrainConfig, specs: Sequence[WeightSpec], scenes: Sequence[Scene],
                  block_size: int = BLOCK_SIZE) -> list[ComparisonRow]:
-    """Train one model per (config, scene) pair and average the metrics.
+    """Train one model per (loss spec, scene) pair under `config` with that
+    loss spec, and average the metrics per spec.
 
-    The configs must differ only in loss_spec. Each scene carries its seed in
-    scene.spec.seed (generated by the caller, typically with
-    synth_scene(replace(scene_spec, seed=seed))).
+    Each scene carries its seed in scene.spec.seed (generated by the caller,
+    typically with synth_scene(replace(scene_spec, seed=seed))).
     """
-    if not configs:
-        raise ValueError("no configs to compare")
+    if not specs:
+        raise ValueError("no loss specs to compare")
     if not scenes:
         raise ValueError("no scenes to train on")
-    base = configs[0]
-    for cfg in configs[1:]:
-        if replace(cfg, loss_spec=base.loss_spec) != base:
-            raise ValueError("configs must differ only in loss_spec")
-
     rows = []
-    for cfg in configs:
-        reports = []
-        for scene in scenes:
-            model = BlockFlowModel(scene.spec.height, scene.spec.width, block_size)
-            reports.append(train(scene, model, cfg))
+    for spec in specs:
+        cfg = replace(config, loss_spec=spec)
+        reports = [train(scene, BlockFlowModel(scene.spec.height, scene.spec.width, block_size),
+                         cfg) for scene in scenes]
         rows.append(ComparisonRow(
-            mode=cfg.loss_spec.mode,
+            mode=spec.mode,
             epe=_mean_or_none([r.report.epe for r in reports]),
             epe_matched=_mean_or_none([r.report.matched_epe for r in reports]),
             epe_unmatched=_mean_or_none([r.report.unmatched_epe for r in reports]),

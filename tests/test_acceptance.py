@@ -95,7 +95,7 @@ def test_criterion_1_oracle_equivalence():
         assert np.abs(m_oa.data - expected_oa).max() <= 1e-12
 
         mode = MODES[i % len(MODES)]
-        spec = WeightSpec.flow_defaults(mode)
+        spec = WeightSpec(mode)
         weights = build_weights(spec, pred, gt, valid, backward=bw)
         hard = np.array(expected_mask)
         for y in range(h):
@@ -147,7 +147,7 @@ def test_criterion_2_gradients():
         valid_arr[0, 0] = True
         valid = BinaryMask(valid_arr)
         mode = MODES[i % len(MODES)]
-        weights = build_weights(WeightSpec.flow_defaults(mode), pred, gt, valid,
+        weights = build_weights(WeightSpec(mode), pred, gt, valid,
                                 backward=bw)
         res = weighted_l1(pred, gt, weights, valid)
         n_valid = valid.count()
@@ -225,7 +225,7 @@ def test_criterion_4_reductions():
     plain = evaluate_loss(pred, gt, valid, WeightSpec(mode="plain_l1"))
 
     for mode in MODES:
-        spec = WeightSpec.flow_defaults(mode, alpha1=0.0, alpha2=0.0)
+        spec = WeightSpec(mode, alpha1=0.0, alpha2=0.0)
         res = evaluate_loss(pred, gt, valid, spec, backward=bw)
         assert res.scalar == plain.scalar
         assert np.array_equal(res.grad.data, plain.grad.data)
@@ -236,10 +236,10 @@ def test_criterion_4_reductions():
     assert np.array_equal(rfl.data, 1.0 + (1.0 - m.data))
 
     off_frame = Grid2.constant(h, w, 10.0 * max(h, w), 0.0)
-    mult = evaluate_loss(pred, gt, valid, WeightSpec.flow_defaults("multiplication"),
+    mult = evaluate_loss(pred, gt, valid, WeightSpec("multiplication"),
                          backward=off_frame)
     assert mult.scalar == plain.scalar
-    masked = evaluate_loss(pred, gt, valid, WeightSpec.flow_defaults("masking"),
+    masked = evaluate_loss(pred, gt, valid, WeightSpec("masking"),
                            backward=off_frame)
     assert masked.scalar == plain.scalar
 
@@ -321,7 +321,7 @@ def toy_runs():
     @functools.cache
     def run(mode):
         cfg = TrainConfig(steps=500, learning_rate=0.05,
-                          loss_spec=WeightSpec.flow_defaults(mode))
+                          loss_spec=WeightSpec(mode))
         return [train(scene, BlockFlowModel(64, 64), cfg) for scene in scenes()]
 
     return run

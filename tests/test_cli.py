@@ -206,7 +206,7 @@ class TestLoss:
                      "--out-loss-map", str(loss_map),
                      "--out-weight-map", str(weight_map)]) == 0
         res = evaluate_loss(Grid2(pred_arr), Grid2(gt_arr), BinaryMask.full(4, 4),
-                            WeightSpec.flow_defaults("db"))
+                            WeightSpec("db"))
         got_w, _ = read_pfm(weight_map.read_bytes())
         np.testing.assert_allclose(got_w.data, res.weight_map.data.astype(np.float32),
                                    rtol=1e-6)
@@ -302,6 +302,17 @@ class TestReverseDisparity:
         main(["reverse-disparity", "--input", src, "--output", str(out)])
         grid, _ = read_pfm(out.read_bytes())
         np.testing.assert_array_equal(grid.data, [[2.0, 1.0]])
+
+    def test_unknown_samples_are_data_error(self, tmp_path, capsys):
+        # Written raw: Grid1 rejects NaN/Inf. PFM rows are stored bottom-to-top.
+        arr = np.array([[1.0, np.nan, 3.0], [np.inf, 5.0, 6.0]], dtype="<f4")
+        src = tmp_path / "d.pfm"
+        src.write_bytes(b"Pf\n3 2\n-1.0\n" + arr[::-1].tobytes())
+        out = tmp_path / "o.pfm"
+        assert main(["reverse-disparity", "--input", str(src), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "d.pfm" in err and "2 unknown" in err
+        assert not out.exists()
 
 
 class TestLoader:
@@ -651,26 +662,25 @@ class TestToytrain:
     def test_every_key_reaches_its_field(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "compare_runs",
-                            lambda configs, scenes, block_size: calls.append(
-                                (configs, scenes, block_size)) or [])
+                            lambda config, specs, scenes, block_size: calls.append(
+                                (config, specs, scenes, block_size)) or [])
         cfg = tmp_path / "c.txt"
         cfg.write_text(ALL_KEYS_CONFIG)
         assert main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
-        [(configs, scenes, block_size)] = calls
+        [(config, specs, scenes, block_size)] = calls
         assert block_size == 4
         assert [s.spec for s in scenes] == [
             SceneSpec(height=48, width=40, square_size=16, square_motion=(4.0, -2.0),
                       background_motion=(1.0, 0.5), occluded_label_noise_sigma=2.5, seed=seed)
             for seed in (3, 5)]
         cycle = CycleParams(gamma1=0.02, gamma2=0.7)
-        assert configs == [
-            TrainConfig(steps=7, learning_rate=0.1, recompute_confidence_every=2,
-                        snapshot_every=3,
-                        loss_spec=WeightSpec(mode, alpha1=1.5, beta1=0.75, alpha2=3.0,
-                                             beta2=2.0, cycle=cycle))
-            for mode in ("db", "mask_sum")]
+        assert config == TrainConfig(steps=7, learning_rate=0.1, recompute_confidence_every=2,
+                                     snapshot_every=3)
+        assert specs == [WeightSpec(mode, alpha1=1.5, beta1=0.75, alpha2=3.0, beta2=2.0,
+                                    cycle=cycle)
+                         for mode in ("db", "mask_sum")]
         # No field keeps its default, so a field without a key would show here.
-        for obj in (scenes[0].spec, configs[0], configs[0].loss_spec, cycle):
+        for obj in (scenes[0].spec, config, specs[0], cycle):
             for f in dataclasses.fields(obj):
                 if _plain_field(f):
                     assert getattr(obj, f.name) != f.default, f.name

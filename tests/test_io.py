@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from confloss import BinaryMask, Grid1, Grid2, MetricReport
 from confloss.fileio import (
     METRICS_COLUMNS,
-    DegenerateRangeWarning,
     FormatError,
     read_flo,
     read_pfm,
@@ -194,7 +193,7 @@ class TestPgm:
         assert blob == b"P5\n3 2\n255\n" + b"\xff" * 6
 
     def test_half_rounds_up(self):
-        blob = write_pgm(Grid1.full(1, 1, 0.5), value_range=(0.0, 1.0))
+        blob = write_pgm(Grid1.full(1, 1, 0.5))
         assert blob[-1] == 128
 
     def test_mask_is_bilevel(self):
@@ -206,17 +205,8 @@ class TestPgm:
         blob = write_pgm(Grid1(np.array([[0.0, 0.25]])))
         assert blob[-2:] == bytes([0, 64])  # 0.25*255 = 63.75 -> 64
 
-    def test_min_max_default_otherwise(self):
-        blob = write_pgm(Grid1(np.array([[0.0, 10.0]])))
-        assert blob[-2:] == bytes([0, 255])
-
-    def test_degenerate_range_warns_mid_gray(self):
-        with pytest.warns(DegenerateRangeWarning):
-            blob = write_pgm(Grid1.full(1, 2, 7.0))
-        assert blob[-2:] == bytes([128, 128])
-
     def test_clamping(self):
-        blob = write_pgm(Grid1(np.array([[-5.0, 5.0]])), value_range=(0.0, 1.0))
+        blob = write_pgm(Grid1(np.array([[-5.0, 5.0]])))
         assert blob[-2:] == bytes([0, 255])
 
     def test_mask_round_trip(self):

@@ -33,7 +33,7 @@ def random_instance(rng, h=8, w=8):
 
 
 def spec_for(mode):
-    return WeightSpec.flow_defaults(mode)
+    return WeightSpec(mode)
 
 
 class TestWeightDb:
@@ -58,6 +58,11 @@ class TestWeightDb:
     def test_rejects_out_of_range_confidence(self):
         with pytest.raises(ValueError):
             weight_db(Grid1.full(1, 1, 1.5), 2.0, 0.5)
+
+    @pytest.mark.parametrize("weight", (weight_db, weight_oa))
+    def test_rejects_negative_alpha(self, weight):
+        with pytest.raises(ValueError, match="alpha"):
+            weight(Grid1.zeros(1, 1), -1.0, 0.5)
 
 
 class TestWeightOa:
@@ -102,12 +107,12 @@ class TestWeightCombine:
         with pytest.raises(ValueError, match="cycle-based"):
             weight_combine(Grid1.zeros(1, 1), Grid1.zeros(1, 1), None, spec_for(mode))
 
-    def test_rejects_standalone_mode(self):
-        with pytest.raises(ValueError):
+    def test_rejects_plain_l1(self):
+        with pytest.raises(ValueError, match="no weight factor"):
             weight_combine(Grid1.zeros(1, 1), Grid1.zeros(1, 1),
-                           BinaryMask.full(1, 1), spec_for("db"))
+                           BinaryMask.full(1, 1), spec_for("plain_l1"))
 
-    @given(st.sampled_from(("sum", "multiplication", "masking", "mask_sum")),
+    @given(st.sampled_from(("db", "oa", "sum", "multiplication", "masking", "mask_sum")),
            st.integers(0, 2**32 - 1))
     def test_matches_bruteforce(self, mode, seed):
         rng = np.random.default_rng(seed)
@@ -224,7 +229,7 @@ def test_build_weights_matches_oracles(mode, task, monkeypatch):
     h, w = 6, 7
     valid = BinaryMask(rng.random((h, w)) > 0.2)
     if task == "flow":
-        spec = WeightSpec.flow_defaults(mode)
+        spec = WeightSpec(mode)
         pred = Grid2(rng.normal(0, 2, (h, w, 2)))
         gt = Grid2(pred.data + rng.normal(0, 1, (h, w, 2)))
         bw = Grid2(-pred.data + rng.normal(0, 0.7, (h, w, 2)))
@@ -271,7 +276,7 @@ class TestModeIdentities:
         pred, gt, bw, valid = random_instance(rng)
         plain = evaluate_loss(pred, gt, valid, spec_for("plain_l1"), backward=bw)
         for mode in MODES:
-            spec = WeightSpec.flow_defaults(mode, alpha1=0.0, alpha2=0.0)
+            spec = WeightSpec(mode, alpha1=0.0, alpha2=0.0)
             res = evaluate_loss(pred, gt, valid, spec, backward=bw)
             assert res.scalar == plain.scalar
             np.testing.assert_array_equal(res.grad.data, plain.grad.data)
@@ -400,7 +405,7 @@ class TestWeightSpec:
             WeightSpec(beta2=0.0)
 
     def test_task_defaults(self):
-        f = WeightSpec.flow_defaults("db")
+        f = WeightSpec("db")
         s = WeightSpec.stereo_defaults("db")
         assert (f.alpha1, f.beta1, f.alpha2, f.beta2) == (2.0, 0.5, 2.0, 1.0)
         assert (s.alpha1, s.beta1, s.alpha2, s.beta2) == (2.0, 1.0, 1.0, 1.0)

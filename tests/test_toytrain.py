@@ -103,9 +103,9 @@ class TestBlockFlowModel:
     def test_upsample_constant_field(self):
         model = BlockFlowModel(16, 16, 4)
         model.params[...] = [2.0, -1.0]
-        pred = model.predict()
-        np.testing.assert_allclose(pred.data[..., 0], 2.0)
-        np.testing.assert_allclose(pred.data[..., 1], -1.0)
+        pred = model.upsample(model.params)
+        np.testing.assert_allclose(pred[..., 0], 2.0)
+        np.testing.assert_allclose(pred[..., 1], -1.0)
 
     @pytest.mark.parametrize("h, w, block", UPSAMPLE_SHAPES)
     def test_upsample_matches_oracle(self, h, w, block):
@@ -140,16 +140,10 @@ class TestBlockFlowModel:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert (got[0, 0] == 0.0).all()
 
-    def test_clone_is_independent(self):
-        model = BlockFlowModel(16, 16, 4)
-        other = model.clone()
-        other.params[0, 0, 0] = 5.0
-        assert model.params[0, 0, 0] == 0.0
-
 
 def quick_config(mode="plain_l1", **kw):
     defaults = dict(steps=40, learning_rate=0.05,
-                    loss_spec=WeightSpec.flow_defaults(mode))
+                    loss_spec=WeightSpec(mode))
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -167,7 +161,7 @@ class TestTrain:
         scene = synth_scene(SceneSpec(seed=1))
         plain = train(scene, BlockFlowModel(64, 64), quick_config("plain_l1"))
         for mode in ("db", "oa", "multiplication", "mask_sum"):
-            spec = WeightSpec.flow_defaults(mode, alpha1=0.0, alpha2=0.0)
+            spec = WeightSpec(mode, alpha1=0.0, alpha2=0.0)
             rerun = train(scene, BlockFlowModel(64, 64),
                          quick_config(loss_spec=spec))
             assert rerun.loss_history == plain.loss_history
@@ -233,8 +227,8 @@ class TestTrain:
 class TestCompareRuns:
     def test_identical_configs_identical_rows(self):
         scene = synth_scene(SceneSpec(seed=0))
-        cfg = quick_config("db", steps=20)
-        rows = compare_runs([cfg, cfg], [scene])
+        spec = WeightSpec("db")
+        rows = compare_runs(quick_config(steps=20), [spec, spec], [scene])
         assert rows[0].epe == rows[1].epe
         assert rows[0].epe_matched == rows[1].epe_matched
         assert rows[0].px3 == rows[1].px3
@@ -242,23 +236,31 @@ class TestCompareRuns:
     def test_no_occlusion_matched_equals_overall(self):
         spec = SceneSpec(square_motion=(2.0, 0.0), background_motion=(2.0, 0.0),
                          occluded_label_noise_sigma=0.0)
-        rows = compare_runs([quick_config(steps=20)], [synth_scene(spec)])
+        rows = compare_runs(quick_config(steps=20), [WeightSpec()], [synth_scene(spec)])
         assert rows[0].epe_matched == pytest.approx(rows[0].epe)
         assert rows[0].epe_unmatched is None
 
-    def test_configs_must_only_differ_in_loss(self):
+    def test_config_applies_to_every_spec(self):
+        # The config's own loss_spec is replaced by each spec in turn.
         scene = synth_scene(SceneSpec(seed=0))
-        with pytest.raises(ValueError, match="differ only"):
-            compare_runs([quick_config(steps=20), quick_config(steps=30)], [scene])
-        with pytest.raises(ValueError, match="differ only"):
-            compare_runs([quick_config(), quick_config(snapshot_every=5)], [scene])
+        rows = compare_runs(quick_config("oa", steps=7, snapshot_every=7),
+                            [WeightSpec("db"), WeightSpec("sum")], [scene])
+        for row in rows:
+            [report] = row.per_seed
+            assert report.mode == row.mode
+            assert len(report.loss_history) == 7
+            assert [s[0] for s in report.snapshots] == [7]
+
+    def test_no_specs_rejected(self):
+        with pytest.raises(ValueError, match="no loss specs"):
+            compare_runs(quick_config(), [], [synth_scene(SceneSpec(seed=0))])
 
     def test_no_scenes_rejected(self):
         with pytest.raises(ValueError, match="no scenes"):
-            compare_runs([quick_config()], [])
+            compare_runs(quick_config(), [WeightSpec()], [])
 
     def test_row_labels_follow_modes(self):
         scene = synth_scene(SceneSpec(seed=0))
-        rows = compare_runs([quick_config("plain_l1", steps=10),
-                             quick_config("multiplication", steps=10)], [scene])
+        rows = compare_runs(quick_config(steps=10),
+                            [WeightSpec("plain_l1"), WeightSpec("multiplication")], [scene])
         assert [r.mode for r in rows] == ["plain_l1", "multiplication"]
