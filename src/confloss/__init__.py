@@ -30,7 +30,6 @@ from .fields import (
     reverse_disparity_restore,
 )
 from .losses import (
-    COMBINATION_MODES,
     MODES,
     LossResult,
     SequenceParams,

@@ -8,19 +8,23 @@ pair) and rectified stereo (a Grid1 pair of disparities, moving along rows).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (
+    _CHUNK,
     BinaryMask,
     ConfidenceMap,
     Grid1,
     Grid2,
+    _bilinear_points,
+    _channel_planes,
+    _linear_rows,
     check_finite,
     check_same_shape,
-    coordinate_grids,
-    sample_values,
     warn_negative_disparity,
 )
 
@@ -63,6 +67,75 @@ def confidence_db_stereo(pred: Grid1, gt: Grid1, valid: BinaryMask) -> Confidenc
     return Grid1._own(m)
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Row blocks per cycle check: one per CPU this process may use. The calling
+# thread walks the first block and a pool of _WORKERS - 1 threads the others;
+# the pool is created on the first frame big enough to need it.
+_WORKERS = _cpu_count()
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool_in_child() -> None:
+    # A forked child inherits the pool object but not its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _walk_rows(chunk, r0: int, r1: int, step: int) -> None:
+    for a in range(r0, r1, step):
+        chunk(a, min(a + step, r1))
+
+
+def _in_row_bands(chunk, h: int, w: int) -> None:
+    """Call chunk(r0, r1) on bands of rows, about _CHUNK pixels each, that
+    cover an H x W frame.
+
+    A frame of two bands or more is split into one contiguous block of rows
+    per worker. The calling thread walks the first block and the pool the
+    others, under the caller's numpy error state. Each call writes only its
+    own rows of arrays the caller allocated (arrays a pool thread allocates
+    stay in its own malloc arena once freed), so the result does not depend
+    on the worker count. Returns, or raises the first error, only once every
+    block has finished.
+    """
+    global _pool
+    step = max(1, _CHUNK // w)
+    workers = min(_WORKERS, -(-h // step))
+    if workers < 2:
+        _walk_rows(chunk, 0, h, step)
+        return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="confloss-cycle")
+        pool = _pool
+    err = np.geterr()
+
+    def block(r0, r1):
+        with np.errstate(**err):
+            _walk_rows(chunk, r0, r1, step)
+
+    bounds = [h * i // workers for i in range(workers + 1)]
+    futures = [pool.submit(block, r0, r1) for r0, r1 in zip(bounds[1:-1], bounds[2:])]
+    try:
+        _walk_rows(chunk, 0, bounds[1], step)
+    finally:
+        errors = [f.exception() for f in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                 params: CycleParams = CycleParams()):
     """Pointwise terms of the consistency check for a flow or a stereo pair.
@@ -78,30 +151,60 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
     b is sampled bilinearly at the warp target; pixels whose target falls
     off-frame are reported in target_valid as False (the sampled value there
     is 0, so the terms are still finite).
+    The frame is checked in bands of rows on threads, one block of rows per
+    CPU the process may use; the result has the same bits for any CPU count.
     """
     if type(f_fw) is not type(f_bw):
         raise ValueError("f_fw and f_bw must be the same grid type")
     h, w = check_same_shape(f_fw, f_bw)
+    num, den = np.empty((h, w)), np.empty((h, w))
+    target_valid = np.empty((h, w), dtype=bool)
+    g1, g2 = params.gamma1, params.gamma2
+    cols = np.arange(w, dtype=np.float64)
     if isinstance(f_fw, Grid2):
-        xs, ys = coordinate_grids(h, w)
         f = f_fw.data
-        b, target_valid = sample_values(f_bw.data, xs + f[..., 0], ys + f[..., 1])
-        fu, fv, bu, bv = f[..., 0], f[..., 1], b[..., 0], b[..., 1]
-        num = (fu + bu) ** 2 + (fv + bv) ** 2
-        mag2 = (fu * fu + fv * fv) + (bu * bu + bv * bv)
+        planes = _channel_planes(f_bw.data)
+
+        def chunk(r0, r1):
+            fu, fv = f[r0:r1, :, 0], f[r0:r1, :, 1]
+            x = cols + fu
+            y = np.arange(r0, r1, dtype=np.float64)[:, None] + fv
+            (bu, bv), ok = _bilinear_points(planes, h, w, x.reshape(-1), y.reshape(-1))
+            bu, bv = bu.reshape(x.shape), bv.reshape(x.shape)
+            # Temporaries updated in place, in the order of the formulas above.
+            np.add(fu, bu, out=x)
+            x *= x
+            np.add(fv, bv, out=y)
+            y *= y
+            np.add(x, y, out=num[r0:r1])
+            np.multiply(fu, fu, out=x)
+            np.multiply(fv, fv, out=y)
+            x += y
+            bu *= bu
+            bv *= bv
+            bu += bv
+            mag2 = np.add(x, bu, out=den[r0:r1])
+            mag2 *= g1
+            mag2 += g2
+            target_valid[r0:r1] = ok.reshape(x.shape)
     else:
         warn_negative_disparity(f_fw)
         warn_negative_disparity(f_bw)
         d = f_fw.data
-        b, target_valid = sample_values(f_bw.data, np.arange(w, dtype=np.float64) - d, None)
-        num = b - d  # fresh arrays updated in place, as in the formulas above
-        num **= 2
-        b *= b
-        mag2 = d * d
-        mag2 += b
-    den = mag2
-    den *= params.gamma1
-    den += params.gamma2
+        plane = f_bw.data.reshape(-1)
+
+        def chunk(r0, r1):
+            dd = d[r0:r1]
+            b, ok = _linear_rows(plane, w, r0, cols - dd)
+            diff = np.subtract(b, dd, out=num[r0:r1])
+            diff *= diff
+            b *= b
+            mag2 = np.multiply(dd, dd, out=den[r0:r1])
+            mag2 += b
+            mag2 *= g1
+            mag2 += g2
+            target_valid[r0:r1] = ok
+    _in_row_bands(chunk, h, w)
     return Grid1._own(num), Grid1._own(den), BinaryMask._own(target_valid)
 
 

@@ -161,10 +161,76 @@ def check_same_shape(*grids) -> tuple[int, int]:
     return next(iter(shapes))
 
 
-# Points per chunk of the 2-D sampler: each chunk's float64 temporaries are
-# 256 KB, small enough to stay in cache and be reused by the allocator, where
-# frame-sized ones are page-faulted fresh and streamed through DRAM.
+# Points per chunk of the samplers and pixels per band of the cycle check:
+# each chunk's float64 temporaries are 256 KB, small enough to stay in cache
+# and be reused by the allocator, where frame-sized ones are page-faulted
+# fresh and streamed through DRAM.
 _CHUNK = 32768
+
+
+def _channel_planes(data: np.ndarray) -> np.ndarray:
+    """One contiguous 1-D plane per channel of (H, W[, C]) data: `take` on a
+    strided view would copy the whole plane on every call."""
+    h, w = data.shape[:2]
+    return np.ascontiguousarray(data.reshape(h * w, -1).T)
+
+
+def _bilinear_points(planes: np.ndarray, h: int, w: int, x: np.ndarray, y: np.ndarray):
+    """Bilinear kernel of sample_values for one chunk of 1-D coordinates.
+
+    planes are _channel_planes of (H, W[, C]) data. Returns (one array of
+    samples per plane, in_bounds), the samples 0 out of bounds.
+    """
+    # Clamp so indexing stays legal; weights of clamped corners are 0 for
+    # in-bounds points and out-of-bounds results are zeroed below. A point
+    # is in bounds iff clipping leaves it unchanged, and the clipped
+    # coordinates are >= 0, so truncation is the floor.
+    xc = np.clip(x, 0.0, w - 1.0)
+    yc = np.clip(y, 0.0, h - 1.0)
+    ok = (xc == x) & (yc == y)
+    x0 = xc.astype(np.intp)
+    y0 = yc.astype(np.intp)
+    fx = xc - x0
+    fy = yc - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+
+    # Flat indices of the four corners; the +1 neighbours stop at the
+    # last column and row.
+    step_x = x0 < w - 1
+    i00 = y0 * w + x0
+    i01 = i00 + step_x
+    i10 = i00 + w * (y0 < h - 1)
+    i11 = i10 + step_x
+    samples = []
+    for plane in planes:
+        top = plane.take(i00) * gx + plane.take(i01) * fx
+        bot = plane.take(i10) * gx + plane.take(i11) * fx
+        samples.append(np.where(ok, top * gy + bot * fy, 0.0))
+    return samples, ok
+
+
+def _linear_rows(plane: np.ndarray, w: int, row0: int, xs: np.ndarray):
+    """Row kernel of sample_values: xs (R, W) sampled along rows row0 ..
+    row0 + R - 1 of plane, the (H * W,) flattening of (H, W) data.
+
+    Returns (values, in_bounds), both (R, W), the values 0 out of bounds.
+    """
+    inb = (xs >= 0.0) & (xs <= w - 1.0)
+    # Clipped coordinates are >= 0, so truncation is the floor.
+    fx = np.clip(xs, 0.0, w - 1.0)
+    i00 = fx.astype(np.intp)
+    fx -= i00
+    step_x = i00 < w - 1
+    i00 += np.arange(row0 * w, (row0 + len(xs)) * w, w)[:, None]
+    values = plane.take(i00)
+    values *= 1.0 - fx
+    i00 += step_x
+    right = plane.take(i00)
+    right *= fx
+    values += right
+    np.copyto(values, 0.0, where=~inb)
+    return values, inb
 
 
 def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
@@ -184,60 +250,21 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
         if data.ndim != 2 or xs.shape != data.shape:
             raise ValueError(f"row sampling needs (H, W) data and xs, got "
                              f"{data.shape} and {xs.shape}")
-        inb = (xs >= 0.0) & (xs <= w - 1.0)
-        # Clipped coordinates are >= 0, so truncation is the floor.
-        fx = np.clip(xs, 0.0, w - 1.0)
-        i00 = fx.astype(np.intp)
-        fx -= i00
-        step_x = i00 < w - 1
-        i00 += np.arange(0, h * w, w)[:, None]
-        plane = data.reshape(-1)
-        values = plane.take(i00)
-        values *= 1.0 - fx
-        i00 += step_x
-        right = plane.take(i00)
-        right *= fx
-        values += right
-        np.copyto(values, 0.0, where=~inb)
-        return values, inb
+        return _linear_rows(data.reshape(-1), w, 0, xs)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape:
         xs, ys = np.broadcast_arrays(xs, ys)
     shape = xs.shape
     xs, ys = xs.reshape(-1), ys.reshape(-1)
-    # One contiguous 1-D plane per channel: `take` on a strided view would
-    # copy the whole plane on every call.
-    planes = np.ascontiguousarray(data.reshape(h * w, -1).T)
+    planes = _channel_planes(data)
     values = np.empty((xs.size, len(planes)))
     inb = np.empty(xs.size, dtype=bool)
     for start in range(0, xs.size, _CHUNK):
-        x, y = xs[start:start + _CHUNK], ys[start:start + _CHUNK]
-        # Clamp so indexing stays legal; weights of clamped corners are 0 for
-        # in-bounds points and out-of-bounds results are zeroed below. A point
-        # is in bounds iff clipping leaves it unchanged, and the clipped
-        # coordinates are >= 0, so truncation is the floor.
-        xc = np.clip(x, 0.0, w - 1.0)
-        yc = np.clip(y, 0.0, h - 1.0)
-        ok = (xc == x) & (yc == y)
-        x0 = xc.astype(np.intp)
-        y0 = yc.astype(np.intp)
-        fx = xc - x0
-        fy = yc - y0
-        gx = 1.0 - fx
-        gy = 1.0 - fy
-
-        # Flat indices of the four corners; the +1 neighbours stop at the
-        # last column and row.
-        step_x = x0 < w - 1
-        i00 = y0 * w + x0
-        i01 = i00 + step_x
-        i10 = i00 + w * (y0 < h - 1)
-        i11 = i10 + step_x
-        for c, plane in enumerate(planes):
-            top = plane.take(i00) * gx + plane.take(i01) * fx
-            bot = plane.take(i10) * gx + plane.take(i11) * fx
-            values[start:start + _CHUNK, c] = np.where(ok, top * gy + bot * fy, 0.0)
-        inb[start:start + _CHUNK] = ok
+        end = start + _CHUNK
+        samples, ok = _bilinear_points(planes, h, w, xs[start:end], ys[start:end])
+        for c, s in enumerate(samples):
+            values[start:end, c] = s
+        inb[start:end] = ok
     return values.reshape(shape + data.shape[2:]), inb.reshape(shape)
 
 

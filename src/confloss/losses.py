@@ -55,7 +55,6 @@ _FACTORS = {
     MASK_SUM: {"db", "oa", "hard"},
 }
 MODES = tuple(_FACTORS)
-COMBINATION_MODES = tuple(mode for mode, factors in _FACTORS.items() if len(factors) > 1)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,16 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--bogus"])
         assert exc.value.code == 2
+
+    def test_import_leaves_thread_pool_module_unloaded(self):
+        # The cycle check's thread pool is imported on first use: the import
+        # costs every CLI run about 8 ms, also the ones that never need it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import confloss.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out == "False\n"
 
 
 class TestConfmap:

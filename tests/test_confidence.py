@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from confloss import confidence as confidence_module
 from confloss import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -23,6 +27,7 @@ from confloss import (
     disparity_to_flow,
     occlusion_mask,
 )
+from confloss.fields import _CHUNK, coordinate_grids, sample_values
 
 flows = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
 
@@ -270,3 +275,139 @@ class TestMixedPairs:
     def test_rejected(self, check, pair):
         with pytest.raises(ValueError, match="same grid type"):
             check(*pair)
+
+
+def whole_frame_terms(f_fw, f_bw, params=CycleParams()):
+    """cycle_terms' formulas on whole-frame arrays through the public sampler,
+    as the check was computed before it ran in row bands."""
+    h, w = f_fw.shape
+    if isinstance(f_fw, Grid2):
+        xs, ys = coordinate_grids(h, w)
+        f = f_fw.data
+        b, target_valid = sample_values(f_bw.data, xs + f[..., 0], ys + f[..., 1])
+        fu, fv, bu, bv = f[..., 0], f[..., 1], b[..., 0], b[..., 1]
+        num = (fu + bu) ** 2 + (fv + bv) ** 2
+        mag2 = (fu * fu + fv * fv) + (bu * bu + bv * bv)
+    else:
+        d = f_fw.data
+        b, target_valid = sample_values(f_bw.data, np.arange(w, dtype=np.float64) - d, None)
+        num = (b - d) ** 2
+        mag2 = d * d + b * b
+    return num, mag2 * params.gamma1 + params.gamma2, target_valid
+
+
+def banded_pair(task):
+    """A seeded pair of a frame about five bands tall (the last one short).
+    Some warp targets land on the last column or row, one ulp past them,
+    or far off-frame; the backward data holds signed zeros."""
+    rng = np.random.default_rng(41)
+    w = 301
+    h = 5 * (_CHUNK // w) + 7
+    cols = np.arange(w, dtype=np.float64)
+    rows = np.arange(h, dtype=np.float64)[:, None]
+    pick = rng.random((h, w))
+    if task == "stereo":
+        d_lr = rng.uniform(0.0, 12.0, (h, w))
+        # Targets x - d at column 0, one ulp left of it, and far off-frame.
+        d_lr[pick < 0.05] = np.broadcast_to(cols, (h, w))[pick < 0.05]
+        d_lr[(pick >= 0.05) & (pick < 0.08)] = 1e6
+        d_lr[:, 0][pick[:, 0] < 0.5] = 5e-324
+        d_rl = rng.uniform(0.0, 12.0, (h, w))
+        d_rl[rng.random((h, w)) < 0.2] = -0.0
+        return Grid1(d_lr), Grid1(d_rl)
+    f = rng.normal(0.0, 6.0, (h, w, 2))
+    last_col, last_row = pick < 0.05, (pick >= 0.05) & (pick < 0.1)
+    f[..., 0][last_col] = (w - 1.0 - cols + 0.0 * rows)[last_col]
+    f[..., 1][last_row] = (h - 1.0 - rows + 0.0 * cols)[last_row]
+    f[..., 0][(pick >= 0.1) & (pick < 0.12)] = 1e6
+    f[-1, :, 1] = np.where(pick[-1] < 0.5, 0.0, np.spacing(h - 1.0))
+    b = rng.normal(0.0, 6.0, (h, w, 2))
+    b[rng.random((h, w, 2)) < 0.2] = -0.0
+    return Grid2(f), Grid2(b)
+
+
+class TestRowBands:
+    @pytest.mark.parametrize("task", ("flow", "stereo"))
+    def test_worker_count_leaves_bytes_unchanged(self, task, monkeypatch):
+        f_fw, f_bw = banded_pair(task)
+        want = whole_frame_terms(f_fw, f_bw)
+        assert want[2].any() and not want[2].all()  # off-frame targets present
+        kernel = "_bilinear_points" if task == "flow" else "_linear_rows"
+        real_kernel = getattr(confidence_module, kernel)
+        threads = set()
+
+        def recording_kernel(*args):
+            threads.add(threading.current_thread())
+            return real_kernel(*args)
+
+        monkeypatch.setattr(confidence_module, kernel, recording_kernel)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(confidence_module, "_WORKERS", workers)
+            threads.clear()
+            got = cycle_terms(f_fw, f_bw)
+            for g, e in zip(got, want):
+                assert g.data.dtype == e.dtype and g.data.shape == e.shape
+                assert g.data.tobytes() == e.tobytes(), workers
+            # The calling thread walks the first block, the pool the others.
+            assert threading.current_thread() in threads
+            assert (len(threads) > 1) == (workers > 1)
+
+    def test_small_frame_stays_on_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        h, w = 64, 64
+        assert h * w < _CHUNK
+        threads = set()
+        real_kernel = confidence_module._bilinear_points
+        monkeypatch.setattr(confidence_module, "_bilinear_points",
+                            lambda *a: threads.add(threading.current_thread())
+                            or real_kernel(*a))
+        cycle_terms(Grid2.zeros(h, w), Grid2.zeros(h, w))
+        assert threads == {threading.current_thread()}
+
+    @pytest.mark.parametrize("task", ("flow", "stereo"))
+    def test_overflow_raises_in_caller(self, task, monkeypatch):
+        # numpy's error state is per thread: the pool must run under the
+        # caller's, or toytrain.train would miss a divergence. Only the last
+        # row overflows, and the calling thread walks the first block.
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        h, w = 3 * (_CHUNK // 100), 100
+        if task == "flow":
+            data = np.zeros((h, w, 2))
+            data[-1] = 1e200
+            pair = (Grid2(data),) * 2
+        else:
+            data = np.zeros((h, w))
+            data[-1] = 1e200
+            pair = (Grid1(data),) * 2
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            cycle_terms(*pair)
+        with np.errstate(over="ignore"):
+            num, _, _ = cycle_terms(*pair)
+        assert np.isinf(num.data[-1]).all() and np.isfinite(num.data[:-1]).all()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        pair = (Grid2.zeros(3 * (_CHUNK // 100), 100),) * 2
+        cycle_terms(*pair)  # the parent's pool exists
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            code = 1
+            try:
+                cycle_terms(*pair)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's cycle check did not finish")
+        assert os.waitstatus_to_exitcode(status) == 0

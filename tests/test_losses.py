@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from confloss import confidence as confidence_module
+from confloss import losses as losses_module
 from confloss import (
     BinaryMask,
     Grid1,
@@ -223,8 +223,8 @@ def test_gradient_matches_finite_differences(mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_build_weights_matches_oracles(mode, task, monkeypatch):
     """Every pixel of the composed weight map against the brute-force oracles,
-    which check stereo disparities as horizontal flows; one cycle check (one
-    bilinear sample of the backward field) per weight map."""
+    which check stereo disparities as horizontal flows; one cycle check per
+    weight map."""
     rng = np.random.default_rng(37)
     h, w = 6, 7
     valid = BinaryMask(rng.random((h, w)) > 0.2)
@@ -253,13 +253,13 @@ def test_build_weights_matches_oracles(mode, task, monkeypatch):
                                 spec.alpha1, spec.beta1, spec.alpha2, spec.beta2)
                  for x in range(w)] for y in range(h)]
 
-    samples = []
-    real_sample = confidence_module.sample_values
-    monkeypatch.setattr(confidence_module, "sample_values",
-                        lambda *args: samples.append(1) or real_sample(*args))
+    checks = []
+    real_check = losses_module.cycle_terms
+    monkeypatch.setattr(losses_module, "cycle_terms",
+                        lambda *args: checks.append(1) or real_check(*args))
     weights = build_weights(spec, pred, gt, valid, backward=bw)
     np.testing.assert_allclose(weights.data, expected, rtol=0, atol=1e-12)
-    assert len(samples) == (1 if spec.needs_backward else 0)
+    assert len(checks) == (1 if spec.needs_backward else 0)
 
 
 @pytest.mark.parametrize("mode", [m for m in MODES if spec_for(m).needs_backward])
