@@ -91,13 +91,13 @@ def _forget_pool_in_child() -> None:
 os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _walk_rows(chunk, r0: int, r1: int, step: int) -> None:
+def _walk_rows(band, r0: int, r1: int, step: int) -> None:
     for a in range(r0, r1, step):
-        chunk(a, min(a + step, r1))
+        band(a, min(a + step, r1))
 
 
-def _in_row_bands(chunk, h: int, w: int) -> None:
-    """Call chunk(r0, r1) on bands of rows, about _CHUNK pixels each, that
+def _in_row_bands(band, h: int, w: int) -> None:
+    """Call band(r0, r1) on bands of rows, about _CHUNK pixels each, that
     cover an H x W frame.
 
     A frame of two bands or more is split into one contiguous block of rows
@@ -112,7 +112,7 @@ def _in_row_bands(chunk, h: int, w: int) -> None:
     step = max(1, _CHUNK // w)
     workers = min(_WORKERS, -(-h // step))
     if workers < 2:
-        _walk_rows(chunk, 0, h, step)
+        _walk_rows(band, 0, h, step)
         return
     with _pool_lock:
         if _pool is None:
@@ -123,12 +123,12 @@ def _in_row_bands(chunk, h: int, w: int) -> None:
 
     def block(r0, r1):
         with np.errstate(**err):
-            _walk_rows(chunk, r0, r1, step)
+            _walk_rows(band, r0, r1, step)
 
     bounds = [h * i // workers for i in range(workers + 1)]
     futures = [pool.submit(block, r0, r1) for r0, r1 in zip(bounds[1:-1], bounds[2:])]
     try:
-        _walk_rows(chunk, 0, bounds[1], step)
+        _walk_rows(band, 0, bounds[1], step)
     finally:
         errors = [f.exception() for f in futures]
     for error in errors:
@@ -165,7 +165,7 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
         f = f_fw.data
         planes = _channel_planes(f_bw.data)
 
-        def chunk(r0, r1):
+        def band(r0, r1):
             fu, fv = f[r0:r1, :, 0], f[r0:r1, :, 1]
             x = cols + fu
             y = np.arange(r0, r1, dtype=np.float64)[:, None] + fv
@@ -193,7 +193,7 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
         d = f_fw.data
         plane = f_bw.data.reshape(-1)
 
-        def chunk(r0, r1):
+        def band(r0, r1):
             dd = d[r0:r1]
             b, ok = _linear_rows(plane, w, r0, cols - dd)
             diff = np.subtract(b, dd, out=num[r0:r1])
@@ -204,7 +204,7 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
             mag2 *= g1
             mag2 += g2
             target_valid[r0:r1] = ok
-    _in_row_bands(chunk, h, w)
+    _in_row_bands(band, h, w)
     return Grid1._own(num), Grid1._own(den), BinaryMask._own(target_valid)
 
 

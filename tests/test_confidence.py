@@ -308,10 +308,12 @@ def banded_pair(task):
     pick = rng.random((h, w))
     if task == "stereo":
         d_lr = rng.uniform(0.0, 12.0, (h, w))
-        # Targets x - d at column 0, one ulp left of it, and far off-frame.
+        # Targets x - d at column 0, one ulp left of it, on the last column
+        # and far off-frame.
         d_lr[pick < 0.05] = np.broadcast_to(cols, (h, w))[pick < 0.05]
         d_lr[(pick >= 0.05) & (pick < 0.08)] = 1e6
         d_lr[:, 0][pick[:, 0] < 0.5] = 5e-324
+        d_lr[:, -1][pick[:, -1] < 0.5] = 0.0
         d_rl = rng.uniform(0.0, 12.0, (h, w))
         d_rl[rng.random((h, w)) < 0.2] = -0.0
         return Grid1(d_lr), Grid1(d_rl)
