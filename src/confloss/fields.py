@@ -187,26 +187,44 @@ def _bilinear_points(planes: np.ndarray, h: int, w: int, x: np.ndarray, y: np.nd
     # coordinates are >= 0, so truncation is the floor.
     xc = np.clip(x, 0.0, w - 1.0)
     yc = np.clip(y, 0.0, h - 1.0)
-    ok = (xc == x) & (yc == y)
+    ok = xc == x
+    ok &= yc == y
     x0 = xc.astype(np.intp)
     y0 = yc.astype(np.intp)
-    fx = xc - x0
-    fy = yc - y0
+    fx = np.subtract(xc, x0, out=xc)
+    fy = np.subtract(yc, y0, out=yc)
     gx = 1.0 - fx
     gy = 1.0 - fy
 
     # Flat indices of the four corners; the +1 neighbours stop at the
     # last column and row.
     step_x = x0 < w - 1
-    i00 = y0 * w + x0
+    i00 = y0 * w
+    i00 += x0
     i01 = i00 + step_x
-    i10 = i00 + w * (y0 < h - 1)
+    i10 = w * (y0 < h - 1)
+    i10 += i00
     i11 = i10 + step_x
+    # (top * gy + bot * fy) with top and bot lerped along x, computed in
+    # place: the same operations in the same order, on fewer temporaries.
+    off = ~ok
     samples = []
     for plane in planes:
-        top = plane.take(i00) * gx + plane.take(i01) * fx
-        bot = plane.take(i10) * gx + plane.take(i11) * fx
-        samples.append(np.where(ok, top * gy + bot * fy, 0.0))
+        top = plane.take(i00)
+        top *= gx
+        t = plane.take(i01)
+        t *= fx
+        top += t
+        bot = plane.take(i10)
+        bot *= gx
+        t = plane.take(i11)
+        t *= fx
+        bot += t
+        top *= gy
+        bot *= fy
+        top += bot
+        np.copyto(top, 0.0, where=off)
+        samples.append(top)
     return samples, ok
 
 
