@@ -73,6 +73,15 @@ def _check_shapes(*named):
         raise DataError(f"input dimensions disagree ({dims})") from exc
 
 
+def _require_known(paths, valids, needs="the cycle check needs every sample") -> None:
+    """Raise DataError naming the first of the fields with unknown samples.
+    The cycle check takes no validity masks yet: it would read them as zeros."""
+    for path, valid in zip(paths, valids):
+        unknown = valid.data.size - valid.count()
+        if unknown:
+            raise DataError(f"{path}: {unknown} unknown samples; {needs}")
+
+
 def _resolve_weight_spec(args) -> WeightSpec:
     given = {k: getattr(args, k) for k in _WEIGHT_PARAMS if getattr(args, k) is not None}
     return _TASK_SPECS[args.task](getattr(args, "mode", PLAIN_L1),
@@ -190,7 +199,8 @@ def cmd_confmap(args) -> int:
     else:
         if not args.forward or not args.backward:
             raise UsageError("confmap --mode oa needs --forward and --backward")
-        (fw, bw), _ = _load_fields(args.task, args.forward, args.backward)
+        (fw, bw), valids = _load_fields(args.task, args.forward, args.backward)
+        _require_known((args.forward, args.backward), valids)
         conf = confidence_oa(fw, bw, spec.cycle)
     if args.out_pfm:
         Path(args.out_pfm).write_bytes(fileio.write_pfm(conf))
@@ -201,7 +211,8 @@ def cmd_confmap(args) -> int:
 
 def cmd_occmask(args) -> int:
     spec = _resolve_weight_spec(args)
-    (fw, bw), _ = _load_fields(args.task, args.forward, args.backward)
+    (fw, bw), valids = _load_fields(args.task, args.forward, args.backward)
+    _require_known((args.forward, args.backward), valids)
     mask = occlusion_mask(fw, bw, spec.cycle)
     Path(args.out_pgm).write_bytes(fileio.write_pgm(mask))
     return 0
@@ -218,6 +229,7 @@ def cmd_loss(args) -> int:
         args.task, args.gt, *args.pred, *(args.backward or ()))
     for pv in valids[:n]:
         valid = valid & pv
+    _require_known(args.backward or (), valids[n:])
     backwards = grids[n:] if spec.needs_backward else None
     try:
         total, per_iter = sequence_loss(grids[:n], gt, valid, spec,
@@ -247,11 +259,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reverse_disparity(args) -> int:
-    (grid,), (valid,) = _load_fields(STEREO, args.input)
-    unknown = grid.height * grid.width - valid.count()
-    if unknown:
-        raise DataError(f"{args.input}: {unknown} unknown (NaN or Inf) samples; "
-                        "reverse-disparity needs every disparity")
+    (grid,), valids = _load_fields(STEREO, args.input)
+    _require_known((args.input,), valids, "reverse-disparity needs every disparity")
     Path(args.output).write_bytes(fileio.write_pfm(reverse_disparity_restore(grid)))
     return 0
 

@@ -74,21 +74,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Row blocks per cycle check: one per CPU this process may use. The calling
-# thread walks the first block and a pool of _WORKERS - 1 threads the others;
-# the pool is created on the first frame big enough to need it.
+# Row blocks per cycle check: one per CPU this process may use.
 _WORKERS = _cpu_count()
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool_in_child() -> None:
-    # A forked child inherits the pool object but not its threads.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def _walk_rows(band, r0: int, r1: int, step: int) -> None:
@@ -101,39 +88,40 @@ def _in_row_bands(band, h: int, w: int) -> None:
     cover an H x W frame.
 
     A frame of two bands or more is split into one contiguous block of rows
-    per worker. The calling thread walks the first block and the pool the
-    others, under the caller's numpy error state. Each call writes only its
-    own rows of arrays the caller allocated (arrays a pool thread allocates
-    stay in its own malloc arena once freed), so the result does not depend
-    on the worker count. Returns, or raises the first error, only once every
-    block has finished.
+    per worker. The calling thread walks the first block, and a thread started
+    for this call each of the others, under the caller's numpy error state.
+    Each call writes only its own rows of arrays the caller allocated (arrays
+    another thread allocates stay in its own malloc arena once freed), so the
+    result does not depend on the worker count. Returns, or raises the first
+    error of a block, only once every thread has been joined.
     """
-    global _pool
     step = max(1, _CHUNK // w)
     workers = min(_WORKERS, -(-h // step))
     if workers < 2:
         _walk_rows(band, 0, h, step)
         return
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="confloss-cycle")
-        pool = _pool
     err = np.geterr()
+    errors, threads = [], []
 
     def block(r0, r1):
-        with np.errstate(**err):
-            _walk_rows(band, r0, r1, step)
+        try:
+            with np.errstate(**err):
+                _walk_rows(band, r0, r1, step)
+        except BaseException as exc:
+            errors.append(exc)
 
     bounds = [h * i // workers for i in range(workers + 1)]
-    futures = [pool.submit(block, r0, r1) for r0, r1 in zip(bounds[1:-1], bounds[2:])]
     try:
+        for r0, r1 in zip(bounds[1:-1], bounds[2:]):
+            t = threading.Thread(target=block, args=(r0, r1))
+            t.start()
+            threads.append(t)
         _walk_rows(band, 0, bounds[1], step)
     finally:
-        errors = [f.exception() for f in futures]
-    for error in errors:
-        if error is not None:
-            raise error
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,

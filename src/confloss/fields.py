@@ -1,6 +1,7 @@
 """Dense grid types and geometric primitives: bilinear sampling, backward
 warping, horizontal flips and the reverse-disparity restore (plus the
-public helper disparity_to_flow, which the library itself does not use).
+public helpers disparity_to_flow, backward_warp and sample_values, which
+no other module of the library calls).
 
 All grids are row-major with (row y, column x) indexing, x horizontal.
 Values are immutable after construction, so they are safe to share across
@@ -229,8 +230,10 @@ def _bilinear_points(planes: np.ndarray, h: int, w: int, x: np.ndarray, y: np.nd
 
 
 def _linear_rows(plane: np.ndarray, w: int, row0: int, xs: np.ndarray):
-    """Row kernel of sample_values: xs (R, W) sampled along rows row0 ..
-    row0 + R - 1 of plane, the (H * W,) flattening of (H, W) data.
+    """Row kernel of the stereo cycle check: xs (R, W) sampled linearly
+    along rows row0 .. row0 + R - 1 of plane, the (H * W,) flattening of
+    (H, W) data. Equals sample_values at row coordinates, but for the sign
+    of a zero.
 
     Returns (values, in_bounds), both (R, W), the values 0 out of bounds.
     """
@@ -251,24 +254,18 @@ def _linear_rows(plane: np.ndarray, w: int, row0: int, xs: np.ndarray):
     return values, inb
 
 
-def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray | None):
+def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Bilinearly sample `data` (H, W[, C]) at float coordinates.
 
     Returns (values, in_bounds). Out-of-bounds samples are 0 with
     in_bounds False. In-bounds means (x, y) in [0, W-1] x [0, H-1].
     Coordinates must not be NaN: they are not checked, and a NaN cast to a
     gather index raises IndexError (bilinear_sample maps a NaN off-frame).
-    ys=None: `data` and `xs` are (H, W), and xs[y, x] is sampled along row y.
-    With ys given, the points are processed in fixed-size chunks; the
-    result does not depend on the chunking.
+    The points are processed in fixed-size chunks; the result does not
+    depend on the chunking.
     """
     h, w = data.shape[:2]
     xs = np.asarray(xs, dtype=np.float64)
-    if ys is None:
-        if data.ndim != 2 or xs.shape != data.shape:
-            raise ValueError(f"row sampling needs (H, W) data and xs, got "
-                             f"{data.shape} and {xs.shape}")
-        return _linear_rows(data.reshape(-1), w, 0, xs)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape:
         xs, ys = np.broadcast_arrays(xs, ys)

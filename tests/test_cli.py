@@ -70,8 +70,8 @@ class TestTopLevel:
         assert exc.value.code == 2
 
     def test_import_leaves_thread_pool_module_unloaded(self):
-        # The cycle check's thread pool is imported on first use: the import
-        # costs every CLI run about 8 ms, also the ones that never need it.
+        # The cycle check starts plain threads and needs no executor: importing
+        # concurrent.futures would cost every CLI run about 8 ms.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import confloss.cli; "
                 "print('concurrent.futures' in sys.modules)")
@@ -326,6 +326,45 @@ class TestReverseDisparity:
         err = capsys.readouterr().err
         assert "d.pfm" in err and "2 unknown" in err
         assert not out.exists()
+
+
+class TestUnknownCycleInputs:
+    """A static 4x6 scene whose forward .flo marks two pixels unknown (NaN and
+    1e10) and whose backward .flo one (Inf). The cycle check would read them
+    as zero flow, so every command that runs it refuses them. The loss leaves
+    the prediction's unknown pixels out of the valid ones instead."""
+
+    @staticmethod
+    def raw_flo(path, arr):
+        # Written raw: Grid2 rejects NaN/Inf.
+        path.write_bytes(write_flo(Grid2.zeros(4, 6))[:12] + arr.astype("<f4").tobytes())
+        return str(path)
+
+    @pytest.mark.parametrize("command", ("confmap", "occmask", "loss"))
+    def test_refused_with_file_and_count(self, command, tmp_path, capsys):
+        fw = np.zeros((4, 6, 2), dtype=np.float32)
+        fw[1, 2, 0] = np.nan
+        fw[2, 4, 1] = 1e10
+        bw = np.zeros((4, 6, 2), dtype=np.float32)
+        bw[3, 0, 0] = np.inf
+        fw_path = self.raw_flo(tmp_path / "fw.flo", fw)
+        bw_path = self.raw_flo(tmp_path / "bw.flo", bw)
+        still = flo(tmp_path / "still.flo", np.zeros((4, 6, 2), dtype=np.float32))
+        out = tmp_path / "out"
+        if command == "loss":
+            cases = [(["loss", "--mode", "oa", "--pred", fw_path, "--gt", still,
+                       "--backward", bw_path, "--out-loss-map", str(out)], "bw.flo: 1 unknown")]
+        else:
+            head = ["confmap", "--mode", "oa"] if command == "confmap" else ["occmask"]
+            cases = [(head + ["--forward", forward, "--backward", bw_path,
+                              "--out-pgm", str(out)], named)
+                     for forward, named in ((fw_path, "fw.flo: 2 unknown"),
+                                            (still, "bw.flo: 1 unknown"))]
+        for argv, named in cases:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert named in captured.err and captured.out == ""
+            assert not out.exists()
 
 
 class TestLoader:

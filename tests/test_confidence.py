@@ -1,8 +1,12 @@
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,11 +282,13 @@ class TestMixedPairs:
 
 
 def whole_frame_terms(f_fw, f_bw, params=CycleParams()):
-    """cycle_terms' formulas on whole-frame arrays through the public sampler,
-    as the check was computed before it ran in row bands."""
+    """cycle_terms' formulas on whole-frame arrays through the public 2-D
+    sampler, as the check was computed before it ran in row bands. Stereo is
+    sampled at integer row coordinates, so its oracle does not share the row
+    kernel of the check."""
     h, w = f_fw.shape
+    xs, ys = coordinate_grids(h, w)
     if isinstance(f_fw, Grid2):
-        xs, ys = coordinate_grids(h, w)
         f = f_fw.data
         b, target_valid = sample_values(f_bw.data, xs + f[..., 0], ys + f[..., 1])
         fu, fv, bu, bv = f[..., 0], f[..., 1], b[..., 0], b[..., 1]
@@ -290,7 +296,7 @@ def whole_frame_terms(f_fw, f_bw, params=CycleParams()):
         mag2 = (fu * fu + fv * fv) + (bu * bu + bv * bv)
     else:
         d = f_fw.data
-        b, target_valid = sample_values(f_bw.data, np.arange(w, dtype=np.float64) - d, None)
+        b, target_valid = sample_values(f_bw.data, xs - d, ys)
         num = (b - d) ** 2
         mag2 = d * d + b * b
     return num, mag2 * params.gamma1 + params.gamma2, target_valid
@@ -350,7 +356,8 @@ class TestRowBands:
             for g, e in zip(got, want):
                 assert g.data.dtype == e.dtype and g.data.shape == e.shape
                 assert g.data.tobytes() == e.tobytes(), workers
-            # The calling thread walks the first block, the pool the others.
+            # The calling thread walks the first block, threads of its own
+            # the others.
             assert threading.current_thread() in threads
             assert (len(threads) > 1) == (workers > 1)
 
@@ -366,32 +373,68 @@ class TestRowBands:
         cycle_terms(Grid2.zeros(h, w), Grid2.zeros(h, w))
         assert threads == {threading.current_thread()}
 
+    @pytest.mark.parametrize("row", (0, -1), ids=("first_row", "last_row"))
     @pytest.mark.parametrize("task", ("flow", "stereo"))
-    def test_overflow_raises_in_caller(self, task, monkeypatch):
-        # numpy's error state is per thread: the pool must run under the
-        # caller's, or toytrain.train would miss a divergence. Only the last
-        # row overflows, and the calling thread walks the first block.
+    def test_overflow_raises_in_caller(self, task, row, monkeypatch):
+        # numpy's error state is per thread: the other blocks must run under
+        # the caller's, or toytrain.train would miss a divergence. Row 0 lies
+        # in the calling thread's own block, the last row in another thread's.
+        # The other threads are slowed down, so that an error raised before
+        # they were joined would find them still running.
         monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        kernel = "_bilinear_points" if task == "flow" else "_linear_rows"
+        real_kernel = getattr(confidence_module, kernel)
+        caller, started = threading.current_thread(), set()
+
+        def slow_kernel(*args):
+            if threading.current_thread() is not caller:
+                started.add(threading.current_thread())
+                time.sleep(0.1)
+            return real_kernel(*args)
+
+        monkeypatch.setattr(confidence_module, kernel, slow_kernel)
         h, w = 3 * (_CHUNK // 100), 100
         if task == "flow":
             data = np.zeros((h, w, 2))
-            data[-1] = 1e200
+            data[row] = 1e200
             pair = (Grid2(data),) * 2
         else:
             data = np.zeros((h, w))
-            data[-1] = 1e200
+            data[row] = 1e200
             pair = (Grid1(data),) * 2
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             cycle_terms(*pair)
+        assert started and not any(t.is_alive() for t in started)
         with np.errstate(over="ignore"):
             num, _, _ = cycle_terms(*pair)
-        assert np.isinf(num.data[-1]).all() and np.isfinite(num.data[:-1]).all()
+        assert (np.isinf(num.data[row]).all()
+                and np.isfinite(np.delete(num.data, row, axis=0)).all())
+
+    def test_no_thread_outlives_the_check(self):
+        # In a fresh interpreter, so that no other test's threads are counted.
+        src = str(Path(confidence_module.__file__).resolve().parents[1])
+        code = textwrap.dedent("""\
+            import sys, threading
+            sys.path.insert(0, sys.argv[1])
+            from confloss import Grid2, confidence, cycle_terms
+            seen, real_kernel = set(), confidence._bilinear_points
+            def recording_kernel(*args):
+                seen.add(threading.current_thread())
+                return real_kernel(*args)
+            confidence._bilinear_points = recording_kernel
+            confidence._WORKERS = 2
+            cycle_terms(*(Grid2.zeros(3 * (confidence._CHUNK // 100), 100),) * 2)
+            print(len(seen), threading.active_count())
+        """)
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out == "2 1\n"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+    def test_check_in_forked_child_finishes(self, monkeypatch):
         monkeypatch.setattr(confidence_module, "_WORKERS", 2)
         pair = (Grid2.zeros(3 * (_CHUNK // 100), 100),) * 2
-        cycle_terms(*pair)  # the parent's pool exists
+        cycle_terms(*pair)  # the parent has run a banded check before it forks
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
             pid = os.fork()
