@@ -1,7 +1,7 @@
 """Confidence-weighted training losses for dense correspondence.
 
 Error-based and cycle-consistency confidence maps, the weighted L1 losses
-built from them (with analytic gradients), occlusion masking, the stereo
+built from them and their analytic gradient, occlusion masking, the stereo
 reverse-disparity transform, evaluation metrics, file formats, and a seeded
 toy trainer.
 """
@@ -41,6 +41,7 @@ from .losses import (
     weight_db,
     weight_oa,
     weighted_l1,
+    weighted_l1_grad,
 )
 from .metrics import MetricReport, epe_map, full_report, magnitude_map
 from .toytrain import (

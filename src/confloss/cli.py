@@ -6,13 +6,14 @@ the toy training comparison. Flow fields interchange as .flo, scalar maps
 as PFM, visualizations and masks as PGM.
 
 Exit codes: 0 success, 1 data error (unreadable or inconsistent inputs),
-2 usage error.
+2 usage error. Each error or warning is one "confloss: ..." line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from collections import defaultdict
 from dataclasses import fields, replace
 from pathlib import Path
@@ -372,14 +373,19 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("confloss: error: a subcommand is required", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"confloss: error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ValueError, OSError) as exc:
-        print(f"confloss: error: {exc}", file=sys.stderr)
-        return 1
+    # The filters in force decide which warnings show; each shows as one line.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = _COMMANDS[args.command](args), None
+        except UsageError as exc:
+            code, error = 2, exc
+        except (DataError, ValueError, OSError) as exc:
+            code, error = 1, exc
+    for w in caught:
+        print(f"confloss: warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"confloss: error: {error}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

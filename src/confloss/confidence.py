@@ -51,9 +51,13 @@ class CycleParams:
 def confidence_db_flow(pred: Grid2, gt: Grid2, valid: BinaryMask) -> ConfidenceMap:
     """Error-based confidence exp(-||gt - pred||^2); 0 on invalid pixels."""
     check_same_shape(pred, gt, valid)
-    d = gt.data - pred.data
-    m = np.exp(-(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
-    return Grid1._own(np.where(valid.data, m, 0.0))
+    d = gt.data - pred.data  # updated in place, as in losses.weight_combine
+    d *= d
+    m = np.add(d[..., 0], d[..., 1])
+    np.negative(m, out=m)
+    np.exp(m, out=m)
+    np.copyto(m, 0.0, where=~valid.data)
+    return Grid1._own(m)
 
 
 def confidence_db_stereo(pred: Grid1, gt: Grid1, valid: BinaryMask) -> ConfidenceMap:

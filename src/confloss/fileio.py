@@ -48,7 +48,8 @@ def read_flo(data: bytes):
     raw = np.frombuffer(data, dtype="<f4", offset=12, count=n).reshape(height, width, 2)
     ok = np.abs(raw) < FLO_SENTINEL  # False for NaN and +-Inf as well
     known = ok[..., 0] & ok[..., 1]
-    flow = raw.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is unknown like any NaN
+        flow = raw.astype(np.float64)
     flow[~known] = 0.0
     return Grid2._own(flow), BinaryMask._own(known)
 
@@ -116,9 +117,12 @@ def read_pfm(data: bytes):
     if avail < n:
         raise FormatError("truncated", f"PFM payload has {max(avail, 0)} floats, needs {n}")
     payload = np.frombuffer(data, dtype=endian + "f4", offset=pos, count=n)
-    raw = payload.astype(np.float64).reshape(height, width)[::-1]
-    finite = np.isfinite(raw)
-    return Grid1._own(np.where(finite, raw, 0.0)), BinaryMask._own(finite)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is unknown like any NaN
+        grid = payload.reshape(height, width)[::-1].astype(np.float64)  # contiguous
+    finite = np.isfinite(grid)
+    if not finite.all():
+        np.copyto(grid, 0.0, where=~finite)
+    return Grid1._own(grid), BinaryMask._own(finite)
 
 
 def write_pfm(grid: Grid1) -> bytes:

@@ -1,5 +1,6 @@
-"""Confidence-weighted L1 losses, their analytic gradients, and the
-discounted accumulation over refinement iterations.
+"""Confidence-weighted L1 losses (weighted_l1), their analytic gradient
+(weighted_l1_grad, which only training needs), and the discounted
+accumulation over refinement iterations.
 
 Seven weighting modes are supported:
 
@@ -105,18 +106,12 @@ class SequenceParams:
 
 @dataclass(frozen=True)
 class LossResult:
-    """Scalar loss plus the per-pixel maps behind it.
-
-    scalar is the mean of loss_map over valid pixels; grad is the derivative
-    of the per-pixel weighted L1 w.r.t. the prediction (componentwise), zero
-    on invalid pixels. Divide by the valid-pixel count for the gradient of
-    the mean.
-    """
+    """Scalar loss, the mean of loss_map over valid pixels, and the maps
+    behind it; weighted_l1_grad gives the gradient."""
 
     scalar: float
     weight_map: Grid1
     loss_map: Grid1
-    grad: Grid2 | Grid1
     n_valid: int
 
 
@@ -177,42 +172,47 @@ def weight_combine(m_db: ConfidenceMap | None, m_oa: ConfidenceMap | None,
     return Grid1._own(w)
 
 
-def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
-                valid: BinaryMask) -> LossResult:
-    """Weighted L1 over valid pixels, with its analytic gradient.
-
-    Per-pixel loss is w * (|du| + |dv|) for flow and w * |dd| for stereo;
-    the scalar is the mean over valid pixels. grad is w * (-sign(gt - pred))
-    per component with sign(0) = 0, zeroed on invalid pixels. The weights are
-    inputs, never differentiated.
-    """
+def _residual_planes(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
+                     valid: BinaryMask) -> tuple[tuple[np.ndarray, ...], int]:
+    """Checked gt - pred as one (H, W) plane per component (u and v for flow,
+    d for stereo), and the valid-pixel count."""
     if type(pred) is not type(gt):
         raise ValueError("pred and gt must be the same grid type")
     check_same_shape(pred, gt, weights, valid)
     n_valid = valid.count()
     if n_valid == 0:
         raise ValueError("no valid pixels: the mean loss is undefined")
-
     residual = gt.data - pred.data
-    # One (H, W) plane per component: u and v for flow, d for stereo.
-    flow = isinstance(pred, Grid2)
-    planes = (residual[..., 0], residual[..., 1]) if flow else (residual,)
-    per_pixel = np.abs(planes[0]) + np.abs(planes[1]) if flow else np.abs(residual)
-    # Fresh arrays updated in place, as in weight_combine.
+    planes = (residual[..., 0], residual[..., 1]) if isinstance(pred, Grid2) else (residual,)
+    return planes, n_valid
+
+
+def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
+                valid: BinaryMask) -> LossResult:
+    """Weighted L1: per pixel w * (|du| + |dv|) for flow and w * |dd| for
+    stereo, 0 on invalid pixels; the scalar is the mean over valid pixels."""
+    planes, n_valid = _residual_planes(pred, gt, weights, valid)
+    # A fresh array updated in place, as in weight_combine.
+    loss_map = np.abs(planes[0]) + np.abs(planes[1]) if len(planes) == 2 else np.abs(planes[0])
+    loss_map *= weights.data
+    np.copyto(loss_map, 0.0, where=~valid.data)
+    return LossResult(scalar=float(loss_map.sum() / n_valid), weight_map=weights,
+                      loss_map=Grid1._own(loss_map), n_valid=n_valid)
+
+
+def weighted_l1_grad(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
+                     valid: BinaryMask) -> Grid2 | Grid1:
+    """Derivative of weighted_l1's per-pixel loss w.r.t. pred: w * -sign(gt - pred)
+    per component, sign(0) = 0, zero on invalid pixels. Divide by n_valid for
+    the gradient of the mean; the weights are constants (stop-gradient)."""
+    planes, _ = _residual_planes(pred, gt, weights, valid)
     invalid = ~valid.data
     grads = [np.sign(r) for r in planes]
     for g in grads:  # w * -sign(r), 0 on invalid pixels
         np.negative(g, out=g)
         g *= weights.data
         np.copyto(g, 0.0, where=invalid)
-    grad = Grid2._own(np.stack(grads, axis=-1)) if flow else Grid1._own(grads[0])
-
-    loss_map = per_pixel
-    loss_map *= weights.data
-    np.copyto(loss_map, 0.0, where=invalid)
-    scalar = float(loss_map.sum() / n_valid)
-    return LossResult(scalar=scalar, weight_map=weights, loss_map=Grid1._own(loss_map),
-                      grad=grad, n_valid=n_valid)
+    return Grid2._own(np.stack(grads, axis=-1)) if len(grads) == 2 else Grid1._own(grads[0])
 
 
 def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .confidence import confidence_db_flow, confidence_oa
 from .fields import BinaryMask, Grid1, Grid2, check_finite
-from .losses import WeightSpec, build_weights, weighted_l1
+from .losses import WeightSpec, build_weights, weighted_l1, weighted_l1_grad
 from .metrics import MetricReport, full_report
 
 BLOCK_SIZE = 8  # default side of a model block, in pixels
@@ -273,13 +273,17 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
                     weights = [build_weights(spec, pred, label, scene.valid, backward=other)
                                for pred, label, other in zip(preds, labels, preds[::-1])]
 
-                results = [weighted_l1(pred, label, weight, scene.valid)
-                           for pred, label, weight in zip(preds, labels, weights)]
-                loss_history.append(results[0].scalar)
+                # Both models step; the history reads the forward loss only. This
+                # order, `loss` held through the updates, keeps the allocator from
+                # trimming and re-faulting the heap every step.
+                grads = [weighted_l1_grad(pred, label, weight, scene.valid)
+                         for pred, label, weight in zip(preds, labels, weights)]
+                loss = weighted_l1(preds[0], labels[0], weights[0], scene.valid)
+                loss_history.append(loss.scalar)
 
-                for m, res, weight in zip(models, results, weights):
+                for m, grad, weight in zip(models, grads, weights):
                     m.params -= config.learning_rate * m.footprint_weighted_mean(
-                        res.grad.data, np.where(scene.valid.data, weight.data, 0.0))
+                        grad.data, np.where(scene.valid.data, weight.data, 0.0))
 
                 if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
                     snapshots.append((step + 1,

@@ -38,6 +38,7 @@ from confloss import (
     train,
     weight_db,
     weighted_l1,
+    weighted_l1_grad,
 )
 from confloss.cli import main as cli_main
 from confloss.fileio import FormatError, read_flo, read_pfm, write_flo, write_pfm
@@ -149,7 +150,7 @@ def test_criterion_2_gradients():
         mode = MODES[i % len(MODES)]
         weights = build_weights(WeightSpec(mode), pred, gt, valid,
                                 backward=bw)
-        res = weighted_l1(pred, gt, weights, valid)
+        grad = weighted_l1_grad(pred, gt, weights, valid)
         n_valid = valid.count()
         gt_l, w_l, v_l = gt.data.tolist(), weights.data.tolist(), valid.data.tolist()
         away = valid.data & np.all(np.abs(gt.data - pred.data) >= 0.1, axis=-1)
@@ -161,7 +162,7 @@ def test_criterion_2_gradients():
                 bumped[y, x, c] -= 2 * step
                 down = oracles.weighted_l1_scalar(bumped.tolist(), gt_l, w_l, v_l)
                 fd = (up - down) / (2 * step) * n_valid
-                rel = abs(res.grad.data[y, x, c] - fd) / max(abs(fd), 1e-12)
+                rel = abs(grad.data[y, x, c] - fd) / max(abs(fd), 1e-12)
                 assert rel < 1e-3, f"mode {mode} pixel ({y},{x},{c}): {rel}"
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.1f}s"
@@ -223,12 +224,14 @@ def test_criterion_4_reductions():
     pred, gt, bw, valid = random_flow_instance(rng)
     h, w = pred.shape
     plain = evaluate_loss(pred, gt, valid, WeightSpec(mode="plain_l1"))
+    plain_grad = weighted_l1_grad(pred, gt, plain.weight_map, valid)
 
     for mode in MODES:
         spec = WeightSpec(mode, alpha1=0.0, alpha2=0.0)
         res = evaluate_loss(pred, gt, valid, spec, backward=bw)
         assert res.scalar == plain.scalar
-        assert np.array_equal(res.grad.data, plain.grad.data)
+        grad = weighted_l1_grad(pred, gt, res.weight_map, valid)
+        assert np.array_equal(grad.data, plain_grad.data)
         assert np.array_equal(res.loss_map.data, plain.loss_map.data)
 
     m = Grid1(rng.random((h, w)))

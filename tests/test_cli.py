@@ -171,6 +171,22 @@ class TestOccmask:
         # columns left of the disparity warp off frame, the rest match
         assert not mask.data[:, :3].any() and mask.data[:, 3:].all()
 
+    def test_warning_is_one_line(self, tmp_path, capsys):
+        d = np.full((4, 8), 3.0, dtype=np.float32)
+        a = pfm(tmp_path / "l.pfm", np.where(np.eye(4, 8, dtype=bool), -1.0, d))
+        b = pfm(tmp_path / "r.pfm", d)
+        outputs = []
+        for action in ("ignore", "default"):  # "default" is a plain interpreter's
+            out = tmp_path / f"{action}.pgm"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                assert main(["occmask", "--task", "stereo", "--forward", a,
+                             "--backward", b, "--out-pgm", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        (quiet, quiet_io), (loud, loud_io) = outputs
+        assert loud == quiet and loud_io.out == quiet_io.out == quiet_io.err == ""
+        assert loud_io.err == "confloss: warning: disparity map contains negative entries\n"
+
 
 class TestLoss:
     def test_perfect_prediction_zero(self, tmp_path, rng, capsys):

@@ -107,6 +107,16 @@ class TestErrorConfidence:
             confidence_db_flow(Grid2.zeros(2, 2), Grid2.zeros(3, 3),
                                BinaryMask.full(2, 2))
 
+    @given(flow_pairs(), st.data())
+    def test_flow_bit_equal_to_frozen(self, pair, data):
+        # confidence_db_flow as it was before it worked in place (a frozen copy).
+        pred, gt = pair
+        valid = data.draw(arrays(bool, pred.shape[:2]))
+        d = gt - pred
+        frozen = np.where(valid, np.exp(-(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])), 0.0)
+        m = confidence_db_flow(Grid2(pred), Grid2(gt), BinaryMask(valid))
+        np.testing.assert_array_equal(m.data.view(np.int64), frozen.view(np.int64))
+
     @given(st.floats(0.01, 5), st.floats(0.01, 5))
     @example(0.01, 0.010000000000000002)  # one ulp apart: both map to 0.9999000049998333
     def test_strictly_decreasing_in_error(self, e1, e2):

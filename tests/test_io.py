@@ -1,5 +1,6 @@
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from confloss.fileio import (
 
 # float32-representable finite values, so round trips can be bit-exact
 f32 = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
+
+
+SIGNALLING_NAN = 0x7F800001  # float32 bits: exponent all ones, quiet bit clear
 
 
 def grid2s(max_side=6):
@@ -83,6 +87,16 @@ class TestFlo:
         assert np.array_equal(np.signbit(grid.data), np.signbit(expected))
         assert np.isfinite(grid.data).all()
         assert not grid.data.flags.writeable and not valid.data.flags.writeable
+
+    def test_signalling_nan_reads_unknown_without_warning(self):
+        raw = np.full((1, 2, 2), 0.5, dtype="<f4")
+        raw.view("<u4")[0, 0, 1] = SIGNALLING_NAN  # v of pixel (0, 0)
+        blob = struct.pack("<fii", 202021.25, 2, 1) + raw.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid, valid = read_flo(blob)
+        np.testing.assert_array_equal(valid.data, [[False, True]])
+        np.testing.assert_array_equal(grid.data, [[[0.0, 0.0], [0.5, 0.5]]])
 
     def test_bad_magic(self):
         with pytest.raises(FormatError) as err:
@@ -177,6 +191,37 @@ class TestPfm:
         assert grid.data[0, 1] == 1.0 and valid.data[0, 1]
         assert np.isfinite(grid.data).all()
         assert not grid.data.flags.writeable and not valid.data.flags.writeable
+
+    @pytest.mark.parametrize("endian, scale", [("<", b"-1.0"), (">", b"1.0")])
+    def test_signalling_nan_reads_unknown_without_warning(self, endian, scale):
+        words = np.array([[SIGNALLING_NAN, 0x3F000000]], dtype=endian + "u4")  # sNaN, 0.5
+        blob = b"Pf\n2 1\n" + scale + b"\n" + words.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid, valid = read_pfm(blob)
+        np.testing.assert_array_equal(valid.data, [[False, True]])
+        np.testing.assert_array_equal(grid.data, [[0.0, 0.5]])
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(("<", ">")), st.data())
+    @settings(max_examples=150)
+    def test_payload_bits_read_as_frozen_reader(self, h, w, endian, data):
+        # Any float32 bits, biased towards infinities, NaNs and signed zeros.
+        special = [0x7F800000, 0xFF800000, SIGNALLING_NAN, 0x7FC00000, 0xFFFFFFFF,
+                   0x80000000, 0x00000001]
+        words = data.draw(arrays(np.uint32, (h, w), elements=st.one_of(
+            st.sampled_from(special), st.integers(0, 2**32 - 1))))
+        payload = words.astype(endian + "u4").tobytes()
+        scale = b"-1.0" if endian == "<" else b"1.0"
+        grid, valid = read_pfm(b"Pf\n%d %d\n%s\n" % (w, h, scale) + payload)
+        # read_pfm's payload step before the one-pass read (a frozen copy,
+        # with its cast's invalid-value warning silenced).
+        with np.errstate(invalid="ignore"):
+            raw = np.frombuffer(payload, dtype=endian + "f4").astype(np.float64)
+        raw = raw.reshape(h, w)[::-1]
+        finite = np.isfinite(raw)
+        frozen = np.where(finite, raw, 0.0)
+        np.testing.assert_array_equal(grid.data.view(np.int64), frozen.view(np.int64))
+        np.testing.assert_array_equal(valid.data, finite)
 
     @given(st.binary(max_size=200))
     @settings(max_examples=150)

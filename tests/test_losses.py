@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from confloss import losses as losses_module
@@ -19,6 +20,7 @@ from confloss import (
     weight_db,
     weight_oa,
     weighted_l1,
+    weighted_l1_grad,
 )
 
 
@@ -132,16 +134,16 @@ class TestWeightCombine:
 class TestWeightedL1:
     def test_perfect_prediction(self):
         gt = Grid2(np.random.default_rng(0).normal(size=(3, 3, 2)))
-        res = weighted_l1(gt, gt, Grid1.full(3, 3, 1.0), BinaryMask.full(3, 3))
-        assert res.scalar == 0.0
-        assert (res.grad.data == 0).all()
+        args = (gt, gt, Grid1.full(3, 3, 1.0), BinaryMask.full(3, 3))
+        assert weighted_l1(*args).scalar == 0.0
+        assert (weighted_l1_grad(*args).data == 0).all()
 
     def test_single_pixel_hand_values(self):
         pred = Grid2.zeros(1, 1)
         gt = Grid2.constant(1, 1, 0.5, -0.5)
-        res = weighted_l1(pred, gt, Grid1.full(1, 1, 2.0), BinaryMask.full(1, 1))
-        assert res.scalar == pytest.approx(2.0)
-        np.testing.assert_allclose(res.grad.data[0, 0], [-2.0, 2.0])
+        args = (pred, gt, Grid1.full(1, 1, 2.0), BinaryMask.full(1, 1))
+        assert weighted_l1(*args).scalar == pytest.approx(2.0)
+        np.testing.assert_allclose(weighted_l1_grad(*args).data[0, 0], [-2.0, 2.0])
 
     def test_unit_weights_match_plain_mean(self):
         rng = np.random.default_rng(3)
@@ -155,13 +157,21 @@ class TestWeightedL1:
             weighted_l1(Grid2.zeros(2, 2), Grid2.zeros(2, 2),
                         Grid1.full(2, 2, 1.0), BinaryMask.full(2, 2, False))
 
+    def test_loss_and_grad_check_alike(self):
+        w, valid = Grid1.full(2, 2, 1.0), BinaryMask.full(2, 2)
+        for fn in (weighted_l1, weighted_l1_grad):
+            with pytest.raises(ValueError, match="no valid pixels"):
+                fn(Grid2.zeros(2, 2), Grid2.zeros(2, 2), w, ~valid)
+            with pytest.raises(ValueError, match="same grid type"):
+                fn(Grid2.zeros(2, 2), Grid1.zeros(2, 2), w, valid)
+
     def test_grad_zero_on_invalid(self):
         valid = BinaryMask(np.array([[True, False]]))
         pred = Grid2.zeros(1, 2)
         gt = Grid2.constant(1, 2, 1.0, 1.0)
-        res = weighted_l1(pred, gt, Grid1.full(1, 2, 1.0), valid)
-        assert (res.grad.data[0, 1] == 0).all()
-        assert (res.grad.data[0, 0] == -1).all()
+        grad = weighted_l1_grad(pred, gt, Grid1.full(1, 2, 1.0), valid)
+        assert (grad.data[0, 1] == 0).all()
+        assert (grad.data[0, 0] == -1).all()
 
     def test_scalar_is_mean_of_loss_map(self):
         rng = np.random.default_rng(5)
@@ -174,8 +184,8 @@ class TestWeightedL1:
     def test_stereo_grad_sign(self):
         pred = Grid1.zeros(1, 2)
         gt = Grid1(np.array([[2.0, -3.0]]))
-        res = weighted_l1(pred, gt, Grid1.full(1, 2, 2.0), BinaryMask.full(1, 2))
-        np.testing.assert_allclose(res.grad.data, [[-2.0, 2.0]])
+        grad = weighted_l1_grad(pred, gt, Grid1.full(1, 2, 2.0), BinaryMask.full(1, 2))
+        np.testing.assert_allclose(grad.data, [[-2.0, 2.0]])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
@@ -187,6 +197,61 @@ class TestWeightedL1:
         expected = oracles.weighted_l1_scalar(pred.data.tolist(), gt.data.tolist(),
                                               w.data.tolist(), valid.data.tolist())
         assert res.scalar == pytest.approx(expected, abs=1e-12)
+
+
+def _frozen_weighted_l1(pred, gt, weights, valid):
+    """weighted_l1 as it was when it built the gradient too (a frozen copy,
+    without the checks): (scalar, loss map, gradient, n_valid)."""
+    n_valid = valid.count()
+    residual = gt.data - pred.data
+    flow = isinstance(pred, Grid2)
+    planes = (residual[..., 0], residual[..., 1]) if flow else (residual,)
+    per_pixel = np.abs(planes[0]) + np.abs(planes[1]) if flow else np.abs(residual)
+    invalid = ~valid.data
+    grads = [np.sign(r) for r in planes]
+    for g in grads:
+        np.negative(g, out=g)
+        g *= weights.data
+        np.copyto(g, 0.0, where=invalid)
+    grad = np.stack(grads, axis=-1) if flow else grads[0]
+    loss_map = per_pixel
+    loss_map *= weights.data
+    np.copyto(loss_map, 0.0, where=invalid)
+    return float(loss_map.sum() / n_valid), loss_map, grad, n_valid
+
+
+def bits(a):
+    """The float64 bit patterns of a, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def loss_inputs(draw):
+    """(pred, gt, weights, valid) for flow or stereo, with ties between pred
+    and gt, signed zeros and subnormals."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid, shape = draw(st.sampled_from(((Grid2, (h, w, 2)), (Grid1, (h, w)))))
+    values = st.floats(-100, 100)
+    pred = draw(arrays(np.float64, shape, elements=values))
+    gt = draw(arrays(np.float64, shape, elements=values))
+    gt = np.where(draw(arrays(bool, shape)), pred, gt)
+    weights = draw(arrays(np.float64, (h, w), elements=st.floats(0, 10)))
+    valid = draw(arrays(bool, (h, w)))
+    assume(valid.any())
+    return grid(pred), grid(gt), Grid1(weights), BinaryMask(valid)
+
+
+@given(loss_inputs())
+@settings(max_examples=200)
+def test_split_is_bit_equal_to_frozen_loss(inputs):
+    scalar, loss_map, grad, n_valid = _frozen_weighted_l1(*inputs)
+    res = weighted_l1(*inputs)
+    assert res.scalar.hex() == scalar.hex() and res.n_valid == n_valid
+    np.testing.assert_array_equal(bits(res.loss_map.data), bits(loss_map))
+    assert res.weight_map is inputs[2]
+    got = weighted_l1_grad(*inputs)
+    assert type(got) is type(inputs[0]) and got.data.shape == grad.shape
+    np.testing.assert_array_equal(bits(got.data), bits(grad))
 
 
 def finite_difference_grad(pred, gt, weights, valid, step=1e-4):
@@ -211,11 +276,11 @@ def test_gradient_matches_finite_differences(mode):
     rng = np.random.default_rng(hash(mode) % 2**32)
     pred, gt, bw, valid = random_instance(rng, 6, 6)
     weights = build_weights(spec_for(mode), pred, gt, valid, backward=bw)
-    res = weighted_l1(pred, gt, weights, valid)
+    grad = weighted_l1_grad(pred, gt, weights, valid)
     fd = finite_difference_grad(pred, gt, weights, valid)
     away_from_kink = np.all(np.abs(gt.data - pred.data) >= 0.1, axis=-1)
     check = valid.data & away_from_kink
-    rel = np.abs(res.grad.data - fd) / np.maximum(np.abs(fd), 1e-12)
+    rel = np.abs(grad.data - fd) / np.maximum(np.abs(fd), 1e-12)
     assert rel[check].max() < 1e-3
 
 
@@ -275,11 +340,13 @@ class TestModeIdentities:
         rng = np.random.default_rng(11)
         pred, gt, bw, valid = random_instance(rng)
         plain = evaluate_loss(pred, gt, valid, spec_for("plain_l1"), backward=bw)
+        plain_grad = weighted_l1_grad(pred, gt, plain.weight_map, valid)
         for mode in MODES:
             spec = WeightSpec(mode, alpha1=0.0, alpha2=0.0)
             res = evaluate_loss(pred, gt, valid, spec, backward=bw)
             assert res.scalar == plain.scalar
-            np.testing.assert_array_equal(res.grad.data, plain.grad.data)
+            grad = weighted_l1_grad(pred, gt, res.weight_map, valid)
+            np.testing.assert_array_equal(grad.data, plain_grad.data)
             np.testing.assert_array_equal(res.weight_map.data, plain.weight_map.data)
 
     def test_multiplication_with_zero_cycle_confidence_is_plain(self):
@@ -317,10 +384,10 @@ class TestModeIdentities:
         pred, gt, bw, valid = random_instance(rng)
         other = Grid2(pred.data + rng.normal(0, 0.5, pred.data.shape))
         w = build_weights(spec_for("db"), other, gt, valid)
-        res = weighted_l1(pred, gt, w, valid)
+        grad = weighted_l1_grad(pred, gt, w, valid)
         expected = np.where(valid.data[..., None],
                             w.data[..., None] * -np.sign(gt.data - pred.data), 0.0)
-        np.testing.assert_array_equal(res.grad.data, expected)
+        np.testing.assert_array_equal(grad.data, expected)
 
     def test_oa_mode_requires_backward(self):
         pred = Grid2.zeros(2, 2)

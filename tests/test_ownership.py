@@ -34,6 +34,7 @@ from confloss import (
     weight_db,
     weight_oa,
     weighted_l1,
+    weighted_l1_grad,
 )
 from confloss.confidence import confidence_from_terms, matched_from_terms
 from confloss.fileio import read_flo, read_pfm, read_pgm_mask, write_flo, write_pfm, write_pgm
@@ -87,6 +88,10 @@ CALLS = {
     "weight_combine": lambda: weight_combine(G["conf"], G["conf"], G["region"], SPEC),
     "weighted_l1_flow": lambda: weighted_l1(G["flow"], G["flow_gt"], G["conf"], G["valid"]),
     "weighted_l1_stereo": lambda: weighted_l1(G["disp"], G["disp_gt"], G["conf"], G["valid"]),
+    "weighted_l1_grad_flow": lambda: weighted_l1_grad(G["flow"], G["flow_gt"], G["conf"],
+                                                      G["valid"]),
+    "weighted_l1_grad_stereo": lambda: weighted_l1_grad(G["disp"], G["disp_gt"], G["conf"],
+                                                        G["valid"]),
     **{f"build_weights_{mode}": (lambda mode=mode: build_weights(
         WeightSpec(mode=mode), G["flow"], G["flow_gt"], G["valid"], G["flow_bw"]))
        for mode in MODES},
@@ -113,7 +118,7 @@ def _grids(result):
     if isinstance(result, (Grid1, Grid2, BinaryMask)):
         yield result
     elif isinstance(result, LossResult):
-        yield from (result.weight_map, result.loss_map, result.grad)
+        yield from (result.weight_map, result.loss_map)
     elif isinstance(result, (tuple, list)):
         for item in result:
             yield from _grids(item)
