@@ -4,6 +4,10 @@ Two kinds of confidence are computed: an error-based map from prediction vs
 ground truth, and a forward-backward (cycle) consistency map from a pair of
 opposing correspondence fields. One cycle check serves optical flow (a Grid2
 pair) and rectified stereo (a Grid1 pair of disparities, moving along rows).
+
+Each per-pixel formula is a private row kernel. A public function chains its
+kernels band by band in one pass of _in_row_bands, so only its results are
+frame-sized; losses.evaluate_loss adds the weight and loss kernels.
 """
 
 from __future__ import annotations
@@ -48,29 +52,6 @@ class CycleParams:
             raise ValueError(f"gamma2 must be > 0, got {self.gamma2}")
 
 
-def confidence_db_flow(pred: Grid2, gt: Grid2, valid: BinaryMask) -> ConfidenceMap:
-    """Error-based confidence exp(-||gt - pred||^2); 0 on invalid pixels."""
-    check_same_shape(pred, gt, valid)
-    d = gt.data - pred.data  # updated in place, as in losses.weight_combine
-    d *= d
-    m = np.add(d[..., 0], d[..., 1])
-    np.negative(m, out=m)
-    np.exp(m, out=m)
-    np.copyto(m, 0.0, where=~valid.data)
-    return Grid1._own(m)
-
-
-def confidence_db_stereo(pred: Grid1, gt: Grid1, valid: BinaryMask) -> ConfidenceMap:
-    """Error-based confidence exp(-(d_gt - d_pred)^2); 0 on invalid pixels."""
-    check_same_shape(pred, gt, valid)
-    m = gt.data - pred.data  # updated in place, as in losses.weight_combine
-    m **= 2
-    np.negative(m, out=m)
-    np.exp(m, out=m)
-    np.copyto(m, 0.0, where=~valid.data)
-    return Grid1._own(m)
-
-
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -78,7 +59,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Row blocks per cycle check: one per CPU this process may use.
+# Row blocks per banded pass: one per CPU this process may use.
 _WORKERS = _cpu_count()
 
 
@@ -128,6 +109,97 @@ def _in_row_bands(band, h: int, w: int) -> None:
         raise errors[0]
 
 
+def _map_rows(kernel, out: np.ndarray, *frames) -> np.ndarray:
+    """kernel(*rows of frames, rows of out) on out's row bands (None stays None)."""
+    _in_row_bands(lambda r0, r1: kernel(*(None if a is None else a[r0:r1] for a in frames),
+                                        out[r0:r1]), *out.shape)
+    return out
+
+
+def _db_rows(r, valid, out) -> None:
+    """Row kernel of the error-based map on r = gt - pred (only read) into out."""
+    if r.ndim == 3:
+        np.multiply(r[..., 0], r[..., 0], out=out)
+        out += r[..., 1] * r[..., 1]
+    else:
+        np.multiply(r, r, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.copyto(out, 0.0, where=~valid)
+
+
+def _confidence_db(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask) -> ConfidenceMap:
+    h, w = check_same_shape(pred, gt, valid)
+    return Grid1._own(_map_rows(lambda p, g, v, out: _db_rows(g - p, v, out),
+                                np.empty((h, w)), pred.data, gt.data, valid.data))
+
+
+def confidence_db_flow(pred: Grid2, gt: Grid2, valid: BinaryMask) -> ConfidenceMap:
+    """Error-based confidence exp(-||gt - pred||^2); 0 on invalid pixels."""
+    return _confidence_db(pred, gt, valid)
+
+
+def confidence_db_stereo(pred: Grid1, gt: Grid1, valid: BinaryMask) -> ConfidenceMap:
+    """Error-based confidence exp(-(d_gt - d_pred)^2); 0 on invalid pixels."""
+    return _confidence_db(pred, gt, valid)
+
+
+def _cycle_rows(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1, params: CycleParams):
+    """Check a pair as cycle_terms does; return its row kernel rows(r0, r1,
+    num=None, den=None) -> (num, den, target_valid) of rows r0 .. r1 - 1,
+    num and den written into the given arrays or into band-sized ones."""
+    if type(f_fw) is not type(f_bw):
+        raise ValueError("f_fw and f_bw must be the same grid type")
+    h, w = check_same_shape(f_fw, f_bw)
+    g1, g2 = params.gamma1, params.gamma2
+    cols = np.arange(w, dtype=np.float64)
+    if isinstance(f_fw, Grid2):
+        f = f_fw.data
+        planes = _channel_planes(f_bw.data)
+
+        def rows(r0, r1, num=None, den=None):
+            fu, fv = f[r0:r1, :, 0], f[r0:r1, :, 1]
+            x = cols + fu
+            y = np.arange(r0, r1, dtype=np.float64)[:, None] + fv
+            (bu, bv), ok = _bilinear_points(planes, h, w, x.reshape(-1), y.reshape(-1))
+            bu, bv = bu.reshape(x.shape), bv.reshape(x.shape)
+            # Temporaries updated in place, each term's operations in the order
+            # of cycle_terms' formulas; num and den default to x and bu.
+            np.add(fu, bu, out=x)
+            x *= x
+            np.add(fv, bv, out=y)
+            y *= y
+            num = np.add(x, y, out=x if num is None else num)
+            bu *= bu
+            bv *= bv
+            bu += bv
+            np.multiply(fu, fu, out=y)
+            np.multiply(fv, fv, out=bv)
+            y += bv
+            den = np.add(y, bu, out=bu if den is None else den)
+            den *= g1
+            den += g2
+            return num, den, ok.reshape(x.shape)
+    else:
+        warn_negative_disparity(f_fw)
+        warn_negative_disparity(f_bw)
+        d = f_fw.data
+        plane = f_bw.data.reshape(-1)
+
+        def rows(r0, r1, num=None, den=None):
+            dd = d[r0:r1]
+            b, ok = _linear_rows(plane, w, r0, cols - dd)
+            num = np.subtract(b, dd, out=num)
+            num *= num
+            b *= b
+            den = np.multiply(dd, dd, out=den)
+            den += b
+            den *= g1
+            den += g2
+            return num, den, ok
+    return rows
+
+
 def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                 params: CycleParams = CycleParams()):
     """Pointwise terms of the consistency check for a flow or a stereo pair.
@@ -143,61 +215,33 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
     b is sampled bilinearly at the warp target; pixels whose target falls
     off-frame are reported in target_valid as False (the sampled value there
     is 0, so the terms are still finite).
-    The frame is checked in bands of rows on threads, one block of rows per
-    CPU the process may use; the result has the same bits for any CPU count.
     """
-    if type(f_fw) is not type(f_bw):
-        raise ValueError("f_fw and f_bw must be the same grid type")
-    h, w = check_same_shape(f_fw, f_bw)
+    rows = _cycle_rows(f_fw, f_bw, params)
+    h, w = f_fw.shape
     num, den = np.empty((h, w)), np.empty((h, w))
     target_valid = np.empty((h, w), dtype=bool)
-    g1, g2 = params.gamma1, params.gamma2
-    cols = np.arange(w, dtype=np.float64)
-    if isinstance(f_fw, Grid2):
-        f = f_fw.data
-        planes = _channel_planes(f_bw.data)
 
-        def band(r0, r1):
-            fu, fv = f[r0:r1, :, 0], f[r0:r1, :, 1]
-            x = cols + fu
-            y = np.arange(r0, r1, dtype=np.float64)[:, None] + fv
-            (bu, bv), ok = _bilinear_points(planes, h, w, x.reshape(-1), y.reshape(-1))
-            bu, bv = bu.reshape(x.shape), bv.reshape(x.shape)
-            # Temporaries updated in place, in the order of the formulas above.
-            np.add(fu, bu, out=x)
-            x *= x
-            np.add(fv, bv, out=y)
-            y *= y
-            np.add(x, y, out=num[r0:r1])
-            np.multiply(fu, fu, out=x)
-            np.multiply(fv, fv, out=y)
-            x += y
-            bu *= bu
-            bv *= bv
-            bu += bv
-            mag2 = np.add(x, bu, out=den[r0:r1])
-            mag2 *= g1
-            mag2 += g2
-            target_valid[r0:r1] = ok.reshape(x.shape)
-    else:
-        warn_negative_disparity(f_fw)
-        warn_negative_disparity(f_bw)
-        d = f_fw.data
-        plane = f_bw.data.reshape(-1)
+    def band(r0, r1):
+        target_valid[r0:r1] = rows(r0, r1, num[r0:r1], den[r0:r1])[2]
 
-        def band(r0, r1):
-            dd = d[r0:r1]
-            b, ok = _linear_rows(plane, w, r0, cols - dd)
-            diff = np.subtract(b, dd, out=num[r0:r1])
-            diff *= diff
-            b *= b
-            mag2 = np.multiply(dd, dd, out=den[r0:r1])
-            mag2 += b
-            mag2 *= g1
-            mag2 += g2
-            target_valid[r0:r1] = ok
     _in_row_bands(band, h, w)
     return Grid1._own(num), Grid1._own(den), BinaryMask._own(target_valid)
+
+
+def _matched_rows(num, den, target_valid, out=None) -> np.ndarray:
+    """Row kernel of matched_from_terms, into out or a fresh array."""
+    out = np.less(num, den, out=out)
+    out &= target_valid
+    return out
+
+
+def _oa_rows(num, den, target_valid, out) -> np.ndarray:
+    """Row kernel of confidence_from_terms; out may be num itself."""
+    np.negative(num, out=out)
+    out /= den
+    np.exp(out, out=out)
+    np.copyto(out, 0.0, where=~target_valid)
+    return out
 
 
 def matched_from_terms(num: Grid1, den: Grid1, target_valid: BinaryMask) -> BinaryMask:
@@ -206,7 +250,8 @@ def matched_from_terms(num: Grid1, den: Grid1, target_valid: BinaryMask) -> Bina
     A pixel is matched when numerator < denominator (strict) and its warp
     target lies inside the frame.
     """
-    return BinaryMask._own((num.data < den.data) & target_valid.data)
+    return BinaryMask._own(_map_rows(_matched_rows, np.empty(num.shape, dtype=bool),
+                                     num.data, den.data, target_valid.data))
 
 
 def confidence_from_terms(num: Grid1, den: Grid1,
@@ -215,23 +260,29 @@ def confidence_from_terms(num: Grid1, den: Grid1,
 
     Off-frame warp targets get confidence 0: no correspondence can exist.
     """
-    m = np.negative(num.data)
-    m /= den.data
-    np.exp(m, out=m)
-    np.copyto(m, 0.0, where=~target_valid.data)
-    return Grid1._own(m)
+    return Grid1._own(_map_rows(_oa_rows, np.empty(num.shape),
+                                num.data, den.data, target_valid.data))
+
+
+def _from_pair(kernel, out: np.ndarray, f_fw, f_bw, params: CycleParams) -> np.ndarray:
+    """kernel(num, den, target_valid, rows of out) on each row band's cycle
+    terms, which stay band-sized; returns out."""
+    rows = _cycle_rows(f_fw, f_bw, params)
+    _in_row_bands(lambda r0, r1: kernel(*rows(r0, r1), out[r0:r1]), *out.shape)
+    return out
 
 
 def occlusion_mask(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                    params: CycleParams = CycleParams()) -> BinaryMask:
     """True = matched (cycle-consistent), False = occluded; see matched_from_terms."""
-    return matched_from_terms(*cycle_terms(f_fw, f_bw, params))
+    return BinaryMask._own(_from_pair(_matched_rows, np.empty(f_fw.shape, dtype=bool),
+                                      f_fw, f_bw, params))
 
 
 def confidence_oa(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                   params: CycleParams = CycleParams()) -> ConfidenceMap:
     """Cycle-consistency confidence; see confidence_from_terms."""
-    return confidence_from_terms(*cycle_terms(f_fw, f_bw, params))
+    return Grid1._own(_from_pair(_oa_rows, np.empty(f_fw.shape), f_fw, f_bw, params))
 
 
 def occlusion_mask_stereo(d_lr: Grid1, d_rl: Grid1,

@@ -50,7 +50,8 @@ def read_flo(data: bytes):
     known = ok[..., 0] & ok[..., 1]
     with np.errstate(invalid="ignore"):  # a signalling NaN is unknown like any NaN
         flow = raw.astype(np.float64)
-    flow[~known] = 0.0
+    if not known.all():
+        flow[~known] = 0.0
     return Grid2._own(flow), BinaryMask._own(known)
 
 
@@ -139,7 +140,10 @@ def write_pgm(m: Grid1 | BinaryMask) -> bytes:
     if isinstance(m, BinaryMask):
         pixels = np.where(m.data, 255, 0).astype(np.uint8)
     else:
-        pixels = np.floor(np.clip(m.data, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        c = np.clip(m.data, 0.0, 1.0)  # floor(c * 255 + 0.5), updated in place
+        c *= 255.0
+        c += 0.5
+        pixels = np.floor(c, out=c).astype(np.uint8)
     header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
     return header + pixels.tobytes()
 

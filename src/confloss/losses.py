@@ -15,6 +15,10 @@ Seven weighting modes are supported:
 where H is the hard matched/occluded mask from the cycle check. Weight maps
 are constants as far as differentiation is concerned (stop-gradient): the
 gradient flows only through the residual.
+
+The weights and the loss map are row kernels like confidence's. evaluate_loss
+runs the error-based map, the cycle check, the weights and the loss band by
+band in one pass, with the bits of build_weights followed by weighted_l1.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ import numpy as np
 
 from .confidence import (
     CycleParams,
-    confidence_db_flow,
-    confidence_db_stereo,
-    confidence_from_terms,
-    cycle_terms,
-    matched_from_terms,
+    _cycle_rows,
+    _db_rows,
+    _in_row_bands,
+    _map_rows,
+    _matched_rows,
+    _oa_rows,
 )
 from .fields import BinaryMask, ConfidenceMap, Grid1, Grid2, check_finite, check_same_shape
 
@@ -115,11 +120,10 @@ class LossResult:
     n_valid: int
 
 
-def _check_unit_range(m: ConfidenceMap) -> np.ndarray:
-    data = m.data
-    if np.any(data < 0.0) or np.any(data > 1.0):
+def _check_unit_range(m: np.ndarray) -> np.ndarray:
+    if np.any(m < 0.0) or np.any(m > 1.0):
         raise ValueError("confidence map entries must lie in [0, 1]")
-    return data
+    return m
 
 
 def weight_db(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
@@ -135,6 +139,31 @@ def weight_oa(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
 _INPUTS = {"db": "error-based map", "oa": "cycle-based map", "hard": "cycle-based mask"}
 
 
+def _weight_rows(spec: WeightSpec, m_db, m_oa, hard, out) -> None:
+    """Row kernel of the mode's weights (the module docstring's formulas, their
+    operations in order) into out, which may be m_db itself."""
+    uses = _FACTORS[spec.mode]
+    if not uses:
+        out.fill(1.0)
+        return
+    if "oa" in uses:
+        oa_term = _check_unit_range(m_oa) ** spec.beta2
+        oa_term *= spec.alpha2
+        if "db" not in uses:
+            np.add(oa_term, 1.0, out=out)
+            return
+    np.subtract(1.0, _check_unit_range(m_db), out=out)
+    out **= spec.beta1
+    out *= spec.alpha1
+    if "hard" in uses:
+        np.copyto(out, 0.0, where=~hard)
+    if spec.mode == MULTIPLICATION:
+        out *= oa_term
+    out += 1.0
+    if spec.mode in (SUM, MASK_SUM):
+        out += oa_term
+
+
 def weight_combine(m_db: ConfidenceMap | None, m_oa: ConfidenceMap | None,
                    hard: BinaryMask | None, spec: WeightSpec) -> Grid1:
     """Weight map of every mode but plain_l1 (the module docstring's formulas).
@@ -148,54 +177,41 @@ def weight_combine(m_db: ConfidenceMap | None, m_oa: ConfidenceMap | None,
     for factor in sorted(uses):
         if given[factor] is None:
             raise ValueError(f"mode {spec.mode!r} needs the {_INPUTS[factor]}")
-    check_same_shape(*(g for g in given.values() if g is not None))
-    # Fresh arrays updated in place: the operations of the module docstring's
-    # formulas, in their order (so the same bits), without a frame-sized
-    # temporary for each.
-    w = None
-    if "db" in uses:
-        w = 1.0 - _check_unit_range(m_db)
-        w **= spec.beta1
-        w *= spec.alpha1
-        if "hard" in uses:
-            np.copyto(w, 0.0, where=~hard.data)
-    if "oa" in uses:
-        oa_term = _check_unit_range(m_oa) ** spec.beta2
-        oa_term *= spec.alpha2
-        if w is None:
-            w = oa_term
-        elif spec.mode == MULTIPLICATION:
-            w *= oa_term
-    w += 1.0
-    if spec.mode in (SUM, MASK_SUM):
-        w += oa_term
-    return Grid1._own(w)
+    h, w = check_same_shape(*(g for g in given.values() if g is not None))
+    return Grid1._own(_map_rows(lambda *rows: _weight_rows(spec, *rows), np.empty((h, w)),
+                                *(None if g is None else g.data for g in given.values())))
 
 
-def _residual_planes(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
-                     valid: BinaryMask) -> tuple[tuple[np.ndarray, ...], int]:
-    """Checked gt - pred as one (H, W) plane per component (u and v for flow,
-    d for stereo), and the valid-pixel count."""
+def _check_loss_inputs(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
+                       *maps: Grid1) -> int:
+    """Check the inputs of a weighted L1 loss; returns the valid-pixel count."""
     if type(pred) is not type(gt):
         raise ValueError("pred and gt must be the same grid type")
-    check_same_shape(pred, gt, weights, valid)
+    check_same_shape(pred, gt, valid, *maps)
     n_valid = valid.count()
     if n_valid == 0:
         raise ValueError("no valid pixels: the mean loss is undefined")
-    residual = gt.data - pred.data
-    planes = (residual[..., 0], residual[..., 1]) if isinstance(pred, Grid2) else (residual,)
-    return planes, n_valid
+    return n_valid
+
+
+def _l1_rows(r, weights, valid, out) -> None:
+    """Row kernel of weighted_l1 on r = gt - pred into out, 0 where not valid."""
+    if r.ndim == 3:
+        np.abs(r[..., 0], out=out)
+        out += np.abs(r[..., 1])
+    else:
+        np.abs(r, out=out)
+    out *= weights
+    np.copyto(out, 0.0, where=~valid)
 
 
 def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
                 valid: BinaryMask) -> LossResult:
     """Weighted L1: per pixel w * (|du| + |dv|) for flow and w * |dd| for
     stereo, 0 on invalid pixels; the scalar is the mean over valid pixels."""
-    planes, n_valid = _residual_planes(pred, gt, weights, valid)
-    # A fresh array updated in place, as in weight_combine.
-    loss_map = np.abs(planes[0]) + np.abs(planes[1]) if len(planes) == 2 else np.abs(planes[0])
-    loss_map *= weights.data
-    np.copyto(loss_map, 0.0, where=~valid.data)
+    n_valid = _check_loss_inputs(pred, gt, valid, weights)
+    loss_map = _map_rows(lambda p, g, wt, v, out: _l1_rows(g - p, wt, v, out),
+                         np.empty(weights.shape), pred.data, gt.data, weights.data, valid.data)
     return LossResult(scalar=float(loss_map.sum() / n_valid), weight_map=weights,
                       loss_map=Grid1._own(loss_map), n_valid=n_valid)
 
@@ -205,7 +221,9 @@ def weighted_l1_grad(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
     """Derivative of weighted_l1's per-pixel loss w.r.t. pred: w * -sign(gt - pred)
     per component, sign(0) = 0, zero on invalid pixels. Divide by n_valid for
     the gradient of the mean; the weights are constants (stop-gradient)."""
-    planes, _ = _residual_planes(pred, gt, weights, valid)
+    _check_loss_inputs(pred, gt, valid, weights)
+    residual = gt.data - pred.data
+    planes = (residual[..., 0], residual[..., 1]) if isinstance(pred, Grid2) else (residual,)
     invalid = ~valid.data
     grads = [np.sign(r) for r in planes]
     for g in grads:  # w * -sign(r), 0 on invalid pixels
@@ -213,6 +231,42 @@ def weighted_l1_grad(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
         g *= weights.data
         np.copyto(g, 0.0, where=invalid)
     return Grid2._own(np.stack(grads, axis=-1)) if len(grads) == 2 else Grid1._own(grads[0])
+
+
+def _weights_and_loss(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
+                      valid: BinaryMask, backward: Grid2 | Grid1 | None,
+                      loss_map: np.ndarray | None = None) -> np.ndarray:
+    """build_weights' map, and weighted_l1's loss map into loss_map if given,
+    in one pass over row bands. Each band computes gt - pred once; the cycle
+    terms, M_oa and H stay band-sized."""
+    h, w = check_same_shape(pred, gt, valid)
+    uses = _FACTORS[spec.mode]
+    with_residual = "db" in uses or loss_map is not None
+    if spec.needs_backward:
+        if backward is None:
+            raise ValueError(f"mode {spec.mode!r} needs a backward field")
+        terms = _cycle_rows(pred, backward, spec.cycle)
+    weights = np.empty((h, w))
+
+    def band(r0, r1):
+        ok, out = valid.data[r0:r1], weights[r0:r1]
+        m_oa = hard = None
+        if spec.needs_backward:
+            num, den, target_valid = terms(r0, r1)
+            if "hard" in uses:
+                hard = _matched_rows(num, den, target_valid)
+            if "oa" in uses:
+                m_oa = _oa_rows(num, den, target_valid, num)
+        # After the check, so that the band's peak allocation stays low.
+        r = gt.data[r0:r1] - pred.data[r0:r1] if with_residual else None
+        if "db" in uses:  # M_db is built in the weight rows, then updated in place
+            _db_rows(r, ok, out)
+        _weight_rows(spec, out, m_oa, hard, out)
+        if loss_map is not None:
+            _l1_rows(r, out, ok, loss_map[r0:r1])
+
+    _in_row_bands(band, h, w)
+    return weights
 
 
 def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
@@ -224,33 +278,21 @@ def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
     is the restored right-to-left disparity. M_oa and H come from one shared
     cycle check.
     """
-    h, w = check_same_shape(pred, gt, valid)
-    uses = _FACTORS[spec.mode]
-    if not uses:
-        return Grid1._own(np.ones((h, w)))
-
-    stereo = isinstance(pred, Grid1)
-    m_db = m_oa = hard = None
-    if "db" in uses:
-        m_db = (confidence_db_stereo if stereo else confidence_db_flow)(pred, gt, valid)
-    if spec.needs_backward:
-        if backward is None:
-            raise ValueError(f"mode {spec.mode!r} needs a backward field")
-        terms = cycle_terms(pred, backward, spec.cycle)
-        if "oa" in uses:
-            m_oa = confidence_from_terms(*terms)
-        if "hard" in uses:
-            hard = matched_from_terms(*terms)
-
-    return weight_combine(m_db, m_oa, hard, spec)
+    return Grid1._own(_weights_and_loss(spec, pred, gt, valid, backward))
 
 
 def evaluate_loss(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
                   spec: WeightSpec,
                   backward: Grid2 | Grid1 | None = None) -> LossResult:
-    """Build the mode's weight map from the prediction and apply weighted_l1."""
-    weights = build_weights(spec, pred, gt, valid, backward)
-    return weighted_l1(pred, gt, weights, valid)
+    """weighted_l1 under build_weights' map, with the same bits, in one pass
+    over row bands that holds only the two maps frame-sized. Every input
+    check runs before the pass."""
+    n_valid = _check_loss_inputs(pred, gt, valid)
+    loss_map = np.empty(valid.shape)
+    weights = _weights_and_loss(spec, pred, gt, valid, backward, loss_map)
+    # The mean over the whole map, summed as weighted_l1 sums it.
+    return LossResult(scalar=float(loss_map.sum() / n_valid), weight_map=Grid1._own(weights),
+                      loss_map=Grid1._own(loss_map), n_valid=n_valid)
 
 
 def sequence_loss(preds: Sequence[Grid2 | Grid1], gt: Grid2 | Grid1,

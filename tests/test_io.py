@@ -98,6 +98,27 @@ class TestFlo:
         np.testing.assert_array_equal(valid.data, [[False, True]])
         np.testing.assert_array_equal(grid.data, [[[0.0, 0.0], [0.5, 0.5]]])
 
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=150)
+    def test_payload_bits_read_as_frozen_reader(self, h, w, data):
+        # Any float32 bits, biased towards infinities, NaNs and the sentinel.
+        special = [0x7F800000, 0xFF800000, SIGNALLING_NAN, 0x7FC00000, 0xFFFFFFFF,
+                   0x4E6E6B28, 0xCE6E6B28, 0x4E6E6B27, 0x80000000]  # +-1e9, under 1e9, -0
+        words = data.draw(arrays(np.uint32, (h, w, 2), elements=st.one_of(
+            st.sampled_from(special), st.integers(0, 2**32 - 1))))
+        payload = words.astype("<u4").tobytes()
+        grid, valid = read_flo(struct.pack("<fii", 202021.25, w, h) + payload)
+        # read_flo's payload step before it zero-filled only when a sample is
+        # unknown (a frozen copy, with its cast's invalid-value warning silenced).
+        raw = np.frombuffer(payload, dtype="<f4").reshape(h, w, 2)
+        ok = np.abs(raw) < 1e9
+        known = ok[..., 0] & ok[..., 1]
+        with np.errstate(invalid="ignore"):
+            frozen = raw.astype(np.float64)
+        frozen[~known] = 0.0
+        np.testing.assert_array_equal(grid.data.view(np.int64), frozen.view(np.int64))
+        np.testing.assert_array_equal(valid.data, known)
+
     def test_bad_magic(self):
         with pytest.raises(FormatError) as err:
             read_flo(b"JUNK" + b"\x00" * 20)
@@ -253,6 +274,21 @@ class TestPgm:
     def test_clamping(self):
         blob = write_pgm(Grid1(np.array([[-5.0, 5.0]])))
         assert blob[-2:] == bytes([0, 255])
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=st.one_of(
+                      st.floats(-3.0, 4.0),
+                      # round-half-up boundaries: (k + 0.5) / 255 and its neighbours
+                      st.integers(-1, 255).map(lambda k: (k + 0.5) / 255.0),
+                      st.integers(-1, 255).map(lambda k: np.nextafter((k + 0.5) / 255.0, 0)),
+                      st.integers(-1, 255).map(lambda k: np.nextafter((k + 0.5) / 255.0, 1)),
+                      st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e300, -1e300]))))
+    @settings(max_examples=150)
+    def test_scalar_bytes_as_frozen_writer(self, arr):
+        # write_pgm's scalar path before it worked in place (a frozen copy).
+        frozen = np.floor(np.clip(arr, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        h, w = arr.shape
+        assert write_pgm(Grid1(arr)) == b"P5\n%d %d\n255\n" % (w, h) + frozen.tobytes()
 
     def test_mask_round_trip(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from confloss import confidence as confidence_module
 from confloss import losses as losses_module
 from confloss import (
     BinaryMask,
@@ -14,7 +18,11 @@ from confloss import (
     SequenceParams,
     WeightSpec,
     build_weights,
+    confidence_db_flow,
+    confidence_db_stereo,
+    confidence_oa,
     evaluate_loss,
+    occlusion_mask,
     sequence_loss,
     weight_combine,
     weight_db,
@@ -22,6 +30,8 @@ from confloss import (
     weighted_l1,
     weighted_l1_grad,
 )
+from confloss.fields import _CHUNK
+from test_confidence import banded_pair, whole_frame_terms
 
 
 def random_instance(rng, h=8, w=8):
@@ -319,8 +329,8 @@ def test_build_weights_matches_oracles(mode, task, monkeypatch):
                  for x in range(w)] for y in range(h)]
 
     checks = []
-    real_check = losses_module.cycle_terms
-    monkeypatch.setattr(losses_module, "cycle_terms",
+    real_check = losses_module._cycle_rows
+    monkeypatch.setattr(losses_module, "_cycle_rows",
                         lambda *args: checks.append(1) or real_check(*args))
     weights = build_weights(spec, pred, gt, valid, backward=bw)
     np.testing.assert_allclose(weights.data, expected, rtol=0, atol=1e-12)
@@ -333,6 +343,174 @@ def test_build_weights_matches_oracles(mode, task, monkeypatch):
 def test_build_weights_rejects_mixed_pair(mode, pred, backward):
     with pytest.raises(ValueError, match="same grid type"):
         build_weights(spec_for(mode), pred, pred, BinaryMask.full(3, 3), backward=backward)
+
+
+def _frozen_evaluate_loss(spec, pred, gt, valid, backward):
+    """evaluate_loss as whole-frame passes, before it ran in row bands (a
+    frozen copy of build_weights and weighted_l1, without the checks; the
+    cycle terms from whole_frame_terms): (scalar, weight map, loss map)."""
+    uses = losses_module._FACTORS[spec.mode]
+    d = gt.data - pred.data
+    d *= d
+    m_db = np.add(d[..., 0], d[..., 1]) if d.ndim == 3 else d
+    np.negative(m_db, out=m_db)
+    np.exp(m_db, out=m_db)
+    np.copyto(m_db, 0.0, where=~valid.data)
+    if spec.needs_backward:
+        num, den, target_valid = whole_frame_terms(pred, backward, spec.cycle)
+        m_oa = np.negative(num)
+        m_oa /= den
+        np.exp(m_oa, out=m_oa)
+        np.copyto(m_oa, 0.0, where=~target_valid)
+        hard = (num < den) & target_valid
+    w = np.ones(valid.shape) if not uses else None
+    if "db" in uses:
+        w = 1.0 - m_db
+        w **= spec.beta1
+        w *= spec.alpha1
+        if "hard" in uses:
+            np.copyto(w, 0.0, where=~hard)
+    if "oa" in uses:
+        oa_term = m_oa ** spec.beta2
+        oa_term *= spec.alpha2
+        if w is None:
+            w = oa_term
+        elif spec.mode == "multiplication":
+            w *= oa_term
+    if uses:
+        w += 1.0
+    if spec.mode in ("sum", "mask_sum"):
+        w += oa_term
+    residual = gt.data - pred.data
+    loss_map = (np.abs(residual[..., 0]) + np.abs(residual[..., 1]) if residual.ndim == 3
+                else np.abs(residual))
+    loss_map *= w
+    np.copyto(loss_map, 0.0, where=~valid.data)
+    return float(loss_map.sum() / valid.count()), w, loss_map
+
+
+def _banded_loss_inputs(task):
+    """(spec factory, pred, gt, valid, backward) on banded_pair's frame of
+    five bands and more, with a seeded gt and valid mask."""
+    pred, backward = banded_pair(task)
+    rng = np.random.default_rng(43)
+    gt = type(pred)(pred.data + rng.normal(0.0, 1.5, pred.data.shape))
+    valid = BinaryMask(rng.random(pred.shape) > 0.1)
+    make_spec = WeightSpec if task == "flow" else WeightSpec.stereo_defaults
+    return make_spec, pred, gt, valid, backward
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("task", ("flow", "stereo"))
+    def test_bit_equal_to_split_and_frozen_passes(self, task, workers, monkeypatch):
+        monkeypatch.setattr(confidence_module, "_WORKERS", workers)
+        make_spec, pred, gt, valid, backward = _banded_loss_inputs(task)
+        assert pred.height >= 3 * (_CHUNK // pred.width)
+        for mode in MODES:
+            spec = make_spec(mode)
+            fused = evaluate_loss(pred, gt, valid, spec, backward)
+            split = weighted_l1(pred, gt, build_weights(spec, pred, gt, valid, backward), valid)
+            scalar, weight_map, loss_map = _frozen_evaluate_loss(spec, pred, gt, valid, backward)
+            assert fused.scalar.hex() == split.scalar.hex() == scalar.hex(), mode
+            assert fused.n_valid == split.n_valid == valid.count()
+            for got in (fused, split):
+                np.testing.assert_array_equal(bits(got.weight_map.data), bits(weight_map))
+                np.testing.assert_array_equal(bits(got.loss_map.data), bits(loss_map))
+
+    @pytest.mark.parametrize("task", ("flow", "stereo"))
+    def test_one_banded_pass_per_map(self, task, monkeypatch):
+        passes = []
+        real = confidence_module._in_row_bands
+        for module in (confidence_module, losses_module):
+            monkeypatch.setattr(module, "_in_row_bands",
+                                lambda *args: passes.append(1) or real(*args))
+        make_spec, pred, gt, valid, backward = _banded_loss_inputs(task)
+        db_map = confidence_db_flow if task == "flow" else confidence_db_stereo
+        calls = {
+            "confidence_oa": lambda: confidence_oa(pred, backward),
+            "occlusion_mask": lambda: occlusion_mask(pred, backward),
+            "db_map": lambda: db_map(pred, gt, valid),
+            **{f"build_weights_{mode}": (lambda mode=mode: build_weights(
+                make_spec(mode), pred, gt, valid, backward)) for mode in MODES},
+            **{f"evaluate_loss_{mode}": (lambda mode=mode: evaluate_loss(
+                pred, gt, valid, make_spec(mode), backward)) for mode in MODES},
+        }
+        for name, call in calls.items():
+            passes.clear()
+            call()
+            assert len(passes) == 1, name
+        for mode in MODES:
+            passes.clear()
+            sequence_loss([pred] * 3, gt, valid, make_spec(mode),
+                          backwards=[backward] * 3)
+            assert len(passes) == 3, mode
+
+    def test_rejected_input_starts_no_pass(self, monkeypatch):
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        passes = []
+        for module in (confidence_module, losses_module):
+            monkeypatch.setattr(module, "_in_row_bands", lambda *args: passes.append(1))
+        h, w = 3 * (_CHUNK // 100), 100
+        flow, disp = Grid2.zeros(h, w), Grid1.zeros(h, w)
+        valid, none_valid = BinaryMask.full(h, w), BinaryMask.full(h, w, False)
+        short = Grid2.zeros(h - 1, w)
+        mismatch = f"dimension mismatch: {[(h - 1, w), (h, w)]}"
+        rejected = [
+            (lambda spec: evaluate_loss(flow, short, valid, spec, flow), mismatch),
+            (lambda spec: evaluate_loss(flow, flow, BinaryMask.full(h - 1, w), spec, flow),
+             mismatch),
+            (lambda spec: evaluate_loss(flow, disp, valid, spec, flow),
+             "pred and gt must be the same grid type"),
+            (lambda spec: evaluate_loss(disp, flow, valid, spec, disp),
+             "pred and gt must be the same grid type"),
+            (lambda spec: evaluate_loss(flow, flow, none_valid, spec, flow),
+             "no valid pixels: the mean loss is undefined"),
+        ]
+        cycle_rejected = [
+            (lambda spec: evaluate_loss(flow, flow, valid, spec),
+             "mode {} needs a backward field"),
+            (lambda spec: evaluate_loss(flow, flow, valid, spec, disp),
+             "f_fw and f_bw must be the same grid type"),
+            (lambda spec: evaluate_loss(flow, flow, valid, spec, short), mismatch),
+            (lambda spec: build_weights(spec, flow, flow, valid),
+             "mode {} needs a backward field"),
+            (lambda spec: build_weights(spec, disp, disp, valid, flow),
+             "f_fw and f_bw must be the same grid type"),
+        ]
+        for mode in MODES:
+            spec = WeightSpec(mode)
+            for call, message in rejected + (cycle_rejected if spec.needs_backward else []):
+                with pytest.raises(ValueError, match=f"^{re.escape(message.format(repr(mode)))}$"):
+                    call(spec)
+        for check in (confidence_oa, occlusion_mask):
+            with pytest.raises(ValueError, match="^f_fw and f_bw must be the same grid type$"):
+                check(flow, disp)
+            with pytest.raises(ValueError, match=f"^{re.escape(mismatch)}$"):
+                check(flow, short)
+        with pytest.raises(ValueError, match=f"^{re.escape(mismatch)}$"):
+            confidence_db_flow(flow, short, valid)
+        with pytest.raises(ValueError, match=f"^{re.escape(mismatch)}$"):
+            weighted_l1(flow, flow, Grid1.zeros(h - 1, w), valid)
+        assert passes == []
+
+    @pytest.mark.parametrize("negative", (("pred",), ("backward",), ("pred", "backward")))
+    def test_negative_disparity_warns_once_per_map(self, negative, monkeypatch):
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        h, w = 3 * (_CHUNK // 100), 100
+        maps = {name: Grid1.full(h, w, -1.0 if name in negative else 1.0)
+                for name in ("pred", "backward")}
+        gt, valid = Grid1.full(h, w, -2.0), BinaryMask.full(h, w)
+        for mode in MODES:
+            spec = WeightSpec.stereo_defaults(mode)
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                evaluate_loss(maps["pred"], gt, valid, spec, maps["backward"])
+                build_weights(spec, maps["pred"], gt, valid, maps["backward"])
+            # Each map of the cycle check is checked once per call, not per band.
+            assert [(r.category, str(r.message)) for r in rec] == (
+                [(RuntimeWarning, "disparity map contains negative entries")] * 2 * len(negative)
+                if spec.needs_backward else []), mode
 
 
 class TestModeIdentities:

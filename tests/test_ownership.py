@@ -100,6 +100,11 @@ CALLS = {
         G["disp_bw"]),
     "evaluate_loss": lambda: evaluate_loss(G["flow"], G["flow_gt"], G["valid"], SPEC,
                                            G["flow_bw"]),
+    **{f"evaluate_loss_{mode}_{task}": (lambda mode=mode, task=task: evaluate_loss(
+        *((G["flow"], G["flow_gt"]) if task == "flow" else (G["disp"], G["disp_gt"])),
+        G["valid"], (WeightSpec if task == "flow" else WeightSpec.stereo_defaults)(mode),
+        G["flow_bw"] if task == "flow" else G["disp_bw"]))
+       for mode in MODES for task in ("flow", "stereo")},
     "sequence_loss": lambda: sequence_loss([G["flow"], G["flow_gt"]], G["flow_gt"],
                                            G["valid"], SPEC,
                                            backwards=[G["flow_bw"], G["flow_bw"]]),
