@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 data error (unreadable or inconsistent inputs),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from collections import defaultdict
@@ -166,6 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=_path, required=True)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main()'s parser, built on the first call; parse_args keeps no state in it."""
+    return build_parser()
 
 
 def _show_defaults() -> None:
@@ -364,7 +371,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.show_defaults:
         _show_defaults()

@@ -20,6 +20,8 @@ runs.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -334,11 +336,18 @@ def reverse_disparity_restore(d_flipped_estimate: Grid1) -> Grid1:
     return Grid1._own(-d_flipped_estimate.data[:, ::-1])
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
 def warn_negative_disparity(d: Grid1) -> None:
-    """RuntimeWarning if d has negative entries, reported at the caller's caller."""
+    """RuntimeWarning if d has negative entries, reported at the first caller
+    outside this package."""
     if np.any(d.data < 0):
+        frame, level = sys._getframe(), 1  # level 1 is this function's frame
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn("disparity map contains negative entries", RuntimeWarning,
-                      stacklevel=3)
+                      stacklevel=level)
 
 
 LEFT_TO_RIGHT = "left_to_right"

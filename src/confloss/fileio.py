@@ -46,12 +46,15 @@ def read_flo(data: bytes):
     if avail < n:
         raise FormatError("truncated", f"flo payload has {avail} floats, needs {n}")
     raw = np.frombuffer(data, dtype="<f4", offset=12, count=n).reshape(height, width, 2)
-    ok = np.abs(raw) < FLO_SENTINEL  # False for NaN and +-Inf as well
-    known = ok[..., 0] & ok[..., 1]
     with np.errstate(invalid="ignore"):  # a signalling NaN is unknown like any NaN
+        # Two reductions decide whether every sample is known; NaN fails both.
+        if -FLO_SENTINEL < raw.min() and raw.max() < FLO_SENTINEL:
+            known = np.ones((height, width), dtype=bool)
+            return Grid2._own(raw.astype(np.float64)), BinaryMask._own(known)
+        ok = np.abs(raw) < FLO_SENTINEL  # False for NaN and +-Inf as well
         flow = raw.astype(np.float64)
-    if not known.all():
-        flow[~known] = 0.0
+    known = ok[..., 0] & ok[..., 1]
+    flow[~known] = 0.0
     return Grid2._own(flow), BinaryMask._own(known)
 
 
@@ -138,12 +141,12 @@ def write_pgm(m: Grid1 | BinaryMask) -> bytes:
     [0, 1] and mapped onto [0, 255] with round-half-up.
     """
     if isinstance(m, BinaryMask):
-        pixels = np.where(m.data, 255, 0).astype(np.uint8)
+        pixels = m.data.view(np.uint8) * np.uint8(255)
     else:
         c = np.clip(m.data, 0.0, 1.0)  # floor(c * 255 + 0.5), updated in place
         c *= 255.0
         c += 0.5
-        pixels = np.floor(c, out=c).astype(np.uint8)
+        pixels = c.astype(np.uint8)  # the cast truncates, which floors c >= 0.5
     header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
     return header + pixels.tobytes()
 

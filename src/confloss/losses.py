@@ -120,12 +120,6 @@ class LossResult:
     n_valid: int
 
 
-def _check_unit_range(m: np.ndarray) -> np.ndarray:
-    if np.any(m < 0.0) or np.any(m > 1.0):
-        raise ValueError("confidence map entries must lie in [0, 1]")
-    return m
-
-
 def weight_db(m: ConfidenceMap, alpha: float, beta: float) -> Grid1:
     """Difficulty-balancing weight 1 + alpha * (1 - M)^beta."""
     return weight_combine(m, None, None, WeightSpec(DB, alpha1=alpha, beta1=beta))
@@ -141,18 +135,19 @@ _INPUTS = {"db": "error-based map", "oa": "cycle-based map", "hard": "cycle-base
 
 def _weight_rows(spec: WeightSpec, m_db, m_oa, hard, out) -> None:
     """Row kernel of the mode's weights (the module docstring's formulas, their
-    operations in order) into out, which may be m_db itself."""
+    operations in order) into out, which may be m_db itself. The maps are
+    trusted to lie in [0, 1]."""
     uses = _FACTORS[spec.mode]
     if not uses:
         out.fill(1.0)
         return
     if "oa" in uses:
-        oa_term = _check_unit_range(m_oa) ** spec.beta2
+        oa_term = m_oa ** spec.beta2
         oa_term *= spec.alpha2
         if "db" not in uses:
             np.add(oa_term, 1.0, out=out)
             return
-    np.subtract(1.0, _check_unit_range(m_db), out=out)
+    np.subtract(1.0, m_db, out=out)
     out **= spec.beta1
     out *= spec.alpha1
     if "hard" in uses:
@@ -178,6 +173,9 @@ def weight_combine(m_db: ConfidenceMap | None, m_oa: ConfidenceMap | None,
         if given[factor] is None:
             raise ValueError(f"mode {spec.mode!r} needs the {_INPUTS[factor]}")
     h, w = check_same_shape(*(g for g in given.values() if g is not None))
+    for factor in uses - {"hard"}:
+        if np.any(given[factor].data < 0.0) or np.any(given[factor].data > 1.0):
+            raise ValueError("confidence map entries must lie in [0, 1]")
     return Grid1._own(_map_rows(lambda *rows: _weight_rows(spec, *rows), np.empty((h, w)),
                                 *(None if g is None else g.data for g in given.values())))
 

@@ -80,6 +80,69 @@ class TestTopLevel:
         assert out == "False\n"
 
 
+class TestCachedParser:
+    """main() builds its parser once per process; no call may see another's."""
+
+    def test_built_on_first_main_call_only(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda real=cli.build_parser: built.append(1) or real())
+        cli._parser.cache_clear()
+        for argv in (["--show-defaults"], [], ["--show-defaults"]):
+            main(argv)
+        with pytest.raises(SystemExit):
+            main(["eval", "--bogus"])
+        assert built == [1]
+        assert cli.build_parser() is not cli.build_parser()  # other callers get fresh ones
+        cli._parser.cache_clear()
+
+    def test_not_built_at_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import confloss.cli as c; "
+                "print(c._parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out == "0\n"
+
+    def test_repeated_options_start_empty_each_call(self, tmp_path, rng, capsys):
+        gt = flo(tmp_path / "g.flo", rng.normal(size=(4, 6, 2)).astype(np.float32))
+        pairs = [("--pred", flo(tmp_path / f"p{i}.flo", rng.normal(size=(4, 6, 2)).astype(
+                      np.float32)),
+                  "--backward", flo(tmp_path / f"b{i}.flo", rng.normal(size=(4, 6, 2)).astype(
+                      np.float32))) for i in range(3)]
+        single = ["loss", "--mode", "oa", "--gt", gt, *pairs[0]]
+        cli._parser.cache_clear()
+        assert main(single) == 0
+        want = capsys.readouterr().out
+        assert main(["loss", "--mode", "oa", "--gt", gt, *(a for p in pairs for a in p)]) == 0
+        assert capsys.readouterr().out != want
+        assert main(single) == 0
+        assert capsys.readouterr().out == want
+
+    def test_usage_errors_leave_the_next_call_unchanged(self, tmp_path, rng, capsys):
+        d = rng.uniform(0, 4, (4, 6)).astype(np.float32)
+        fw, bw = pfm(tmp_path / "f.pfm", d), pfm(tmp_path / "b.pfm", d[:, ::-1])
+
+        def confmap(name):
+            argv = ["confmap", "--mode", "oa", "--task", "stereo", "--gamma1", "0.2",
+                    "--forward", fw, "--backward", bw,
+                    "--out-pfm", str(tmp_path / f"{name}.pfm"),
+                    "--out-pgm", str(tmp_path / f"{name}.pgm")]
+            assert main(argv) == 0
+            io = capsys.readouterr()
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("pfm", "pgm")], io
+
+        first = confmap("first")
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error
+            main(["confmap", "--mode", "oa", "--task", "plane", "--forward", fw])
+        assert exc.value.code == 2
+        # and the command's own, after parsing every option
+        assert main(["confmap", "--mode", "db", "--forward", fw, "--gamma2", "9",
+                     "--out-pfm", str(tmp_path / "x.pfm")]) == 2
+        capsys.readouterr()
+        assert confmap("second") == first
+
+
 class TestConfmap:
     def test_db_perfect_prediction_is_white(self, tmp_path, rng):
         field = rng.normal(size=(6, 6, 2)).astype(np.float32)

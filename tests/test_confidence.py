@@ -23,12 +23,15 @@ from confloss import (
     CycleParams,
     Grid1,
     Grid2,
+    WeightSpec,
+    build_weights,
     confidence_db_flow,
     confidence_db_stereo,
     confidence_oa,
     confidence_oa_stereo,
     cycle_terms,
     disparity_to_flow,
+    evaluate_loss,
     occlusion_mask,
 )
 from confloss.fields import _CHUNK, coordinate_grids, sample_values
@@ -280,6 +283,41 @@ class TestStereoCycleConfidence:
         with pytest.warns(RuntimeWarning, match="disparity map contains negative entries") as rec:
             confidence_oa_stereo(maps["d_lr"], maps["d_rl"])
         assert len(rec) == len(negative)
+
+
+# Every public entry that checks a disparity pair, called on (d_lr, d_rl).
+NEGATIVE_DISPARITY_ENTRIES = {
+    "cycle_terms": cycle_terms,
+    "confidence_oa": confidence_oa,
+    "occlusion_mask": occlusion_mask,
+    "build_weights": lambda d_lr, d_rl: build_weights(
+        WeightSpec.stereo_defaults("mask_sum"), d_lr, d_rl, BinaryMask.full(*d_lr.shape), d_rl),
+    "evaluate_loss": lambda d_lr, d_rl: evaluate_loss(
+        d_lr, d_rl, BinaryMask.full(*d_lr.shape), WeightSpec.stereo_defaults("oa"), d_rl),
+}
+
+
+class TestNegativeDisparityWarningLocation:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("entry", sorted(NEGATIVE_DISPARITY_ENTRIES))
+    def test_reported_at_the_callers_line(self, entry, workers, monkeypatch):
+        monkeypatch.setattr(confidence_module, "_WORKERS", workers)
+        h, w = 3 * (_CHUNK // 100), 100
+        d_lr, d_rl = Grid1.full(h, w, -1.0), Grid1.full(h, w, 2.0)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            NEGATIVE_DISPARITY_ENTRIES[entry](d_lr, d_rl)
+        assert [(str(r.message), r.filename) for r in rec] == [
+            ("disparity map contains negative entries", __file__)]
+
+    def test_two_call_sites_both_show_under_default_filter(self):
+        d_lr, d_rl = Grid1.full(2, 3, -1.0), Grid1.full(2, 3, 2.0)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("default")  # once per location, as in a plain interpreter
+            cycle_terms(d_lr, d_rl)
+            cycle_terms(d_lr, d_rl)
+        assert [r.filename for r in rec] == [__file__] * 2
+        assert rec[0].lineno + 1 == rec[1].lineno
 
 
 class TestMixedPairs:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +27,22 @@ f32 = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
 
 
 SIGNALLING_NAN = 0x7F800001  # float32 bits: exponent all ones, quiet bit clear
+HALF, QUIET_NAN, PLUS_1E9, MINUS_1E9 = 0x3F000000, 0x7FC00000, 0x4E6E6B28, 0xCE6E6B28
+
+
+def words_with(shape, *changes):
+    """float32 words of 0.5 in `shape`, with (flat index, word) changes."""
+    words = np.full(shape, HALF, dtype=np.uint32)
+    for index, word in changes:
+        words.flat[index] = word
+    return words
+
+
+def payload_words(shape_tail, special):
+    """uint32 arrays of 1..6 x 1..6 (x shape_tail), biased towards `special`."""
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda hw: arrays(np.uint32, hw + shape_tail, elements=st.one_of(
+            st.sampled_from(special), st.integers(0, 2**32 - 1))))
 
 
 def grid2s(max_side=6):
@@ -98,14 +114,20 @@ class TestFlo:
         np.testing.assert_array_equal(valid.data, [[False, True]])
         np.testing.assert_array_equal(grid.data, [[[0.0, 0.0], [0.5, 0.5]]])
 
-    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    # Any float32 bits, biased towards infinities, NaNs and the sentinel. The
+    # examples take both of read_flo's paths on every run: every sample known
+    # (some just under the sentinel), or one unknown among known samples.
+    @given(payload_words((2,), [0x7F800000, 0xFF800000, SIGNALLING_NAN, QUIET_NAN, 0xFFFFFFFF,
+                                PLUS_1E9, MINUS_1E9, 0x4E6E6B27, 0x80000000]))
+    @example(words_with((2, 3, 2)))
+    @example(words_with((2, 3, 2), (0, 0xCE6E6B27), (-1, 0x4E6E6B27)))  # +-999999936
+    @example(words_with((2, 3, 2), (-1, QUIET_NAN)))
+    @example(words_with((2, 3, 2), (-1, PLUS_1E9)))
+    @example(words_with((2, 3, 2), (0, MINUS_1E9)))
+    @example(words_with((2, 3, 2), (-1, SIGNALLING_NAN)))  # warnings are errors here
     @settings(max_examples=150)
-    def test_payload_bits_read_as_frozen_reader(self, h, w, data):
-        # Any float32 bits, biased towards infinities, NaNs and the sentinel.
-        special = [0x7F800000, 0xFF800000, SIGNALLING_NAN, 0x7FC00000, 0xFFFFFFFF,
-                   0x4E6E6B28, 0xCE6E6B28, 0x4E6E6B27, 0x80000000]  # +-1e9, under 1e9, -0
-        words = data.draw(arrays(np.uint32, (h, w, 2), elements=st.one_of(
-            st.sampled_from(special), st.integers(0, 2**32 - 1))))
+    def test_payload_bits_read_as_frozen_reader(self, words):
+        h, w, _ = words.shape
         payload = words.astype("<u4").tobytes()
         grid, valid = read_flo(struct.pack("<fii", 202021.25, w, h) + payload)
         # read_flo's payload step before it zero-filled only when a sample is
@@ -223,14 +245,20 @@ class TestPfm:
         np.testing.assert_array_equal(valid.data, [[False, True]])
         np.testing.assert_array_equal(grid.data, [[0.0, 0.5]])
 
-    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(("<", ">")), st.data())
+    # Any float32 bits, biased towards infinities, NaNs and signed zeros; the
+    # examples put every sample, or all but one, in range on every run.
+    @given(payload_words((), [0x7F800000, 0xFF800000, SIGNALLING_NAN, QUIET_NAN, 0xFFFFFFFF,
+                              0x80000000, 0x00000001]),
+           st.sampled_from(("<", ">")))
+    @example(words_with((2, 3)), "<")
+    @example(words_with((2, 3), (0, 0x7F7FFFFF), (-1, 0xFF7FFFFF)), ">")  # +-float32 max
+    @example(words_with((2, 3), (-1, QUIET_NAN)), "<")
+    @example(words_with((2, 3), (-1, 0xFF800000)), ">")
+    @example(words_with((2, 3), (-1, SIGNALLING_NAN)), "<")  # warnings are errors here
+    @example(words_with((2, 3), (-1, SIGNALLING_NAN)), ">")
     @settings(max_examples=150)
-    def test_payload_bits_read_as_frozen_reader(self, h, w, endian, data):
-        # Any float32 bits, biased towards infinities, NaNs and signed zeros.
-        special = [0x7F800000, 0xFF800000, SIGNALLING_NAN, 0x7FC00000, 0xFFFFFFFF,
-                   0x80000000, 0x00000001]
-        words = data.draw(arrays(np.uint32, (h, w), elements=st.one_of(
-            st.sampled_from(special), st.integers(0, 2**32 - 1))))
+    def test_payload_bits_read_as_frozen_reader(self, words, endian):
+        h, w = words.shape
         payload = words.astype(endian + "u4").tobytes()
         scale = b"-1.0" if endian == "<" else b"1.0"
         grid, valid = read_pfm(b"Pf\n%d %d\n%s\n" % (w, h, scale) + payload)
@@ -289,6 +317,14 @@ class TestPgm:
         frozen = np.floor(np.clip(arr, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
         h, w = arr.shape
         assert write_pgm(Grid1(arr)) == b"P5\n%d %d\n255\n" % (w, h) + frozen.tobytes()
+
+    @given(arrays(np.bool_, st.tuples(st.integers(1, 5), st.integers(1, 5))))
+    @example(np.array([[True, False, True]]))
+    def test_mask_bytes_as_frozen_writer(self, arr):
+        # write_pgm's mask path before it scaled the mask's bytes (a frozen copy).
+        frozen = np.where(arr, 255, 0).astype(np.uint8)
+        h, w = arr.shape
+        assert write_pgm(BinaryMask(arr)) == b"P5\n%d %d\n255\n" % (w, h) + frozen.tobytes()
 
     def test_mask_round_trip(self):
         rng = np.random.default_rng(3)

@@ -119,6 +119,28 @@ class TestWeightCombine:
         with pytest.raises(ValueError, match="cycle-based"):
             weight_combine(Grid1.zeros(1, 1), Grid1.zeros(1, 1), None, spec_for(mode))
 
+    @pytest.mark.parametrize("bad", (1.5, -0.25))
+    @pytest.mark.parametrize("mode", ("db", "oa", "sum", "multiplication", "masking",
+                                      "mask_sum"))
+    def test_rejects_caller_map_outside_unit_range(self, mode, bad, monkeypatch):
+        passes = []
+        monkeypatch.setattr(losses_module, "_map_rows", lambda *args: passes.append(1))
+        spec, hard = spec_for(mode), BinaryMask.full(2, 3)
+        for factor in ("db", "oa"):
+            if factor not in losses_module._FACTORS[mode]:
+                continue
+            maps = {"db": Grid1.full(2, 3, 0.5), "oa": Grid1.full(2, 3, 0.5)}
+            maps[factor] = Grid1(np.where(np.eye(2, 3, dtype=bool), bad, 0.5))
+            calls = [lambda: weight_combine(maps["db"], maps["oa"], hard, spec)]
+            if mode == factor:
+                one = weight_db if mode == "db" else weight_oa
+                calls.append(lambda: one(maps[factor], 2.0, 0.5))
+            for call in calls:
+                with pytest.raises(ValueError,
+                                   match=r"^confidence map entries must lie in \[0, 1\]$"):
+                    call()
+        assert passes == []  # checked once over the given maps, before the pass
+
     def test_rejects_plain_l1(self):
         with pytest.raises(ValueError, match="no weight factor"):
             weight_combine(Grid1.zeros(1, 1), Grid1.zeros(1, 1),
