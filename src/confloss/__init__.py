@@ -24,7 +24,6 @@ from .fields import (
     Grid1,
     Grid2,
     backward_warp,
-    bilinear_sample,
     disparity_to_flow,
     hflip,
     reverse_disparity_restore,

@@ -30,8 +30,7 @@ from .confidence import (
 from .fields import check_same_shape, reverse_disparity_restore
 from .losses import MODES, PLAIN_L1, SequenceParams, WeightSpec, sequence_loss
 from .metrics import full_report
-from .toytrain import (BLOCK_SIZE, SceneSpec, TrainConfig, TrainingDivergedError,
-                       compare_runs, synth_scene)
+from .toytrain import SceneSpec, TrainConfig, TrainingDivergedError, compare_runs, synth_scene
 
 FLOW, STEREO = "flow", "stereo"
 _TASK_SPECS = {FLOW: WeightSpec, STEREO: WeightSpec.stereo_defaults}
@@ -184,7 +183,7 @@ def _show_defaults() -> None:
     print(f"gamma2 {CycleParams.gamma2}")
     print(f"gamma_seq {SequenceParams.gamma_seq}")
     print(f"toytrain: steps {TrainConfig.steps}, learning_rate {TrainConfig.learning_rate}, "
-          f"block_size {BLOCK_SIZE}, "
+          f"block_size {TrainConfig.block_size}, "
           f"recompute_confidence_every {TrainConfig.recompute_confidence_every}")
 
 
@@ -286,8 +285,8 @@ def _vec2(text: str) -> tuple[float, float]:
 # key -> (parser, owner, field). Each int, float or 2-tuple field of SceneSpec,
 # TrainConfig, WeightSpec and CycleParams but the scene seed is the key of its
 # name (noise_sigma: occluded_label_noise_sigma), parsed after its default. The
-# keys without an owner are compare_runs' block_size and the lists of scene
-# seeds and loss modes. Absent keys keep the library's defaults.
+# keys without an owner are the lists of scene seeds and loss modes. Absent
+# keys keep the library's defaults.
 _PARSERS = {int: int, float: float, tuple: _vec2}
 _LISTS = {"seeds": lambda text: tuple(int(v) for v in text.split(",")),
           "modes": lambda text: tuple(v.strip() for v in text.split(","))}
@@ -297,7 +296,7 @@ _TOY_KEYS = {
     for owner in (SceneSpec, TrainConfig, WeightSpec, CycleParams) for f in fields(owner)
     if type(f.default) in _PARSERS and f.name != "seed"
 }
-_TOY_KEYS.update((key, (parse, None, key)) for key, parse in {"block_size": int, **_LISTS}.items())
+_TOY_KEYS.update((key, (parse, None, key)) for key, parse in _LISTS.items())
 
 
 def parse_toy_config(text: str) -> dict:
@@ -339,7 +338,7 @@ def cmd_toytrain(args) -> int:
         config = TrainConfig(**given[TrainConfig])
         scenes = [synth_scene(replace(scene_spec, seed=s))
                   for s in cfg.get("seeds", (scene_spec.seed,))]
-        rows = compare_runs(config, specs, scenes, cfg.get("block_size", BLOCK_SIZE))
+        rows = compare_runs(config, specs, scenes)
     except (ValueError, TrainingDivergedError) as exc:
         raise DataError(str(exc)) from exc
 

@@ -229,39 +229,19 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
 
 
 def _matched_rows(num, den, target_valid, out=None) -> np.ndarray:
-    """Row kernel of matched_from_terms, into out or a fresh array."""
+    """Row kernel of occlusion_mask, into out or a fresh array."""
     out = np.less(num, den, out=out)
     out &= target_valid
     return out
 
 
 def _oa_rows(num, den, target_valid, out) -> np.ndarray:
-    """Row kernel of confidence_from_terms; out may be num itself."""
+    """Row kernel of confidence_oa; out may be num itself."""
     np.negative(num, out=out)
     out /= den
     np.exp(out, out=out)
     np.copyto(out, 0.0, where=~target_valid)
     return out
-
-
-def matched_from_terms(num: Grid1, den: Grid1, target_valid: BinaryMask) -> BinaryMask:
-    """Hard mask H from cycle_terms' result: True = matched, False = occluded.
-
-    A pixel is matched when numerator < denominator (strict) and its warp
-    target lies inside the frame.
-    """
-    return BinaryMask._own(_map_rows(_matched_rows, np.empty(num.shape, dtype=bool),
-                                     num.data, den.data, target_valid.data))
-
-
-def confidence_from_terms(num: Grid1, den: Grid1,
-                          target_valid: BinaryMask) -> ConfidenceMap:
-    """M_oa = exp(-numerator/denominator) from cycle_terms' result.
-
-    Off-frame warp targets get confidence 0: no correspondence can exist.
-    """
-    return Grid1._own(_map_rows(_oa_rows, np.empty(num.shape),
-                                num.data, den.data, target_valid.data))
 
 
 def _from_pair(kernel, out: np.ndarray, f_fw, f_bw, params: CycleParams) -> np.ndarray:
@@ -274,14 +254,17 @@ def _from_pair(kernel, out: np.ndarray, f_fw, f_bw, params: CycleParams) -> np.n
 
 def occlusion_mask(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                    params: CycleParams = CycleParams()) -> BinaryMask:
-    """True = matched (cycle-consistent), False = occluded; see matched_from_terms."""
+    """Hard mask H of the cycle check: True = matched, False = occluded. A
+    pixel is matched when cycle_terms' numerator < denominator (strict) and
+    its warp target lies inside the frame."""
     return BinaryMask._own(_from_pair(_matched_rows, np.empty(f_fw.shape, dtype=bool),
                                       f_fw, f_bw, params))
 
 
 def confidence_oa(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
                   params: CycleParams = CycleParams()) -> ConfidenceMap:
-    """Cycle-consistency confidence; see confidence_from_terms."""
+    """Cycle-consistency confidence M_oa = exp(-numerator/denominator) of
+    cycle_terms; 0 where the warp target is off-frame (no correspondence)."""
     return Grid1._own(_from_pair(_oa_rows, np.empty(f_fw.shape), f_fw, f_bw, params))
 
 

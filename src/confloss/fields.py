@@ -1,7 +1,8 @@
 """Dense grid types and geometric primitives: bilinear sampling, backward
-warping, horizontal flips and the reverse-disparity restore (plus the
-public helpers disparity_to_flow, backward_warp and sample_values, which
-no other module of the library calls).
+warping, horizontal flips and the reverse-disparity restore. No other module
+of the library calls the public helpers sample_values, backward_warp and
+disparity_to_flow; they stay because the benchmark's per-layer tracer
+(bench/tracing.py, LAYERS) wraps them by name.
 
 All grids are row-major with (row y, column x) indexing, x horizontal.
 Values are immutable after construction, so they are safe to share across
@@ -262,7 +263,7 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     Returns (values, in_bounds). Out-of-bounds samples are 0 with
     in_bounds False. In-bounds means (x, y) in [0, W-1] x [0, H-1].
     Coordinates must not be NaN: they are not checked, and a NaN cast to a
-    gather index raises IndexError (bilinear_sample maps a NaN off-frame).
+    gather index raises IndexError.
     The points are processed in fixed-size chunks; the result does not
     depend on the chunking.
     """
@@ -285,27 +286,6 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     return values.reshape(shape + data.shape[2:]), inb.reshape(shape)
 
 
-def bilinear_sample(field: Grid2 | Grid1, x: float, y: float):
-    """Sample one point. Returns (value, in_bounds); value is 0 out of bounds.
-
-    For a Grid2 the value is a length-2 array, for a Grid1 a float.
-    """
-    if np.isnan(x) or np.isnan(y):
-        x = y = np.inf  # off every frame, like inf; NaN would become the gather index
-    values, inb = sample_values(field.data, np.float64(x), np.float64(y))
-    if isinstance(field, Grid2):
-        return np.asarray(values, dtype=np.float64), bool(inb)
-    return float(values), bool(inb)
-
-
-def coordinate_grids(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel-center coordinate arrays (xs, ys), each a read-only (H, W)
-    broadcast view of one row or one column of float64 coordinates."""
-    shape = (height, width)
-    return (np.broadcast_to(np.arange(width, dtype=np.float64), shape),
-            np.broadcast_to(np.arange(height, dtype=np.float64)[:, None], shape))
-
-
 def backward_warp(field: Grid2 | Grid1, flow: Grid2):
     """warped(x) = field(x + flow(x)) with bilinear sampling.
 
@@ -314,9 +294,8 @@ def backward_warp(field: Grid2 | Grid1, flow: Grid2):
     """
     check_same_shape(field, flow)
     h, w = flow.shape
-    xs, ys = coordinate_grids(h, w)
-    tx = xs + flow.data[..., 0]
-    ty = ys + flow.data[..., 1]
+    tx = np.arange(w, dtype=np.float64) + flow.data[..., 0]
+    ty = np.arange(h, dtype=np.float64)[:, None] + flow.data[..., 1]
     values, inb = sample_values(field.data, tx, ty)
     return type(field)._own(values), BinaryMask._own(inb)
 

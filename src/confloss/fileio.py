@@ -58,9 +58,19 @@ def read_flo(data: bytes):
     return Grid2._own(flow), BinaryMask._own(known)
 
 
+def _float32_bytes(arr: np.ndarray) -> bytes:
+    """arr as little-endian float32 bytes; ValueError where the cast gives Inf."""
+    try:
+        with np.errstate(over="raise"):
+            return arr.astype("<f4").tobytes()
+    except FloatingPointError:
+        raise ValueError("cannot write a value outside the float32 range "
+                         f"(+-{np.finfo(np.float32).max:.8g})") from None
+
+
 def write_flo(flow: Grid2) -> bytes:
     header = struct.pack("<fii", FLO_MAGIC, flow.width, flow.height)
-    return header + flow.data.astype("<f4").tobytes()
+    return header + _float32_bytes(flow.data)
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -131,7 +141,7 @@ def read_pfm(data: bytes):
 
 def write_pfm(grid: Grid1) -> bytes:
     header = b"Pf\n%d %d\n-1.0\n" % (grid.width, grid.height)
-    return header + grid.data[::-1].astype("<f4").tobytes()
+    return header + _float32_bytes(grid.data[::-1])
 
 
 def write_pgm(m: Grid1 | BinaryMask) -> bytes:

@@ -21,8 +21,6 @@ from .fields import BinaryMask, Grid1, Grid2, check_finite
 from .losses import WeightSpec, build_weights, weighted_l1, weighted_l1_grad
 from .metrics import MetricReport, full_report
 
-BLOCK_SIZE = 8  # default side of a model block, in pixels
-
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, what: str):
@@ -148,26 +146,19 @@ class BlockFlowModel:
     """Coarse grid of 2-vectors, bilinearly upsampled to full resolution.
 
     One parameter pair per block keeps capacity strictly below one parameter
-    per pixel, which forces the trade-offs the weighted losses manage.
+    per pixel, which forces the trade-offs the weighted losses manage. The
+    parameters start at zero.
     """
 
-    def __init__(self, height: int, width: int, block_size: int = BLOCK_SIZE,
-                 params: np.ndarray | None = None):
+    def __init__(self, height: int, width: int, block_size: int):
         if block_size < 2:
             raise ValueError("block_size must be >= 2 (capacity below one parameter per pixel)")
         if height % block_size or width % block_size:
             raise ValueError(f"{height}x{width} not divisible by block size {block_size}")
-        self.height = height
-        self.width = width
         self.block_size = block_size
-        self.coarse_shape = (height // block_size, width // block_size)
-        if params is None:
-            params = np.zeros(self.coarse_shape + (2,))
-        if params.shape != self.coarse_shape + (2,):
-            raise ValueError(f"params shape {params.shape} != {self.coarse_shape + (2,)}")
-        self.params = np.array(params, dtype=np.float64)
-        self._ry = self._axis_matrix(height, self.coarse_shape[0])
-        self._rx = self._axis_matrix(width, self.coarse_shape[1])
+        self.params = np.zeros((height // block_size, width // block_size, 2))
+        self._ry = self._axis_matrix(height, self.params.shape[0])
+        self._rx = self._axis_matrix(width, self.params.shape[1])
 
     def _axis_matrix(self, n_full: int, n_coarse: int) -> np.ndarray:
         """(n_full, n_coarse) linear-interpolation weights along one axis."""
@@ -205,6 +196,7 @@ class TrainConfig:
     loss_spec: WeightSpec = field(default_factory=WeightSpec)
     recompute_confidence_every: int = 1
     snapshot_every: int = 0
+    block_size: int = 8  # side of a model block, in pixels
 
     def __post_init__(self):
         check_finite(self, "learning_rate")
@@ -229,16 +221,16 @@ class TrainReport:
 
 
 def _predictions(models, step: int) -> list[Grid2]:
-    """Each model's upsampled prediction. Parameters a caller set to NaN/Inf
-    surface here as divergence; finite ones stay finite or overflow, which
-    np.errstate(over="raise") turns into an error."""
+    """Each model's upsampled prediction, reported as divergence at `step`
+    unless every entry is finite (an overflow on the way already raises
+    under train's np.errstate(over="raise"))."""
     data = [m.upsample(m.params) for m in models]
     if not all(np.all(np.isfinite(d)) for d in data):
         raise TrainingDivergedError(step, "prediction is not finite")
     return [Grid2._own(d) for d in data]
 
 
-def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainReport:
+def train(scene: Scene, config: TrainConfig) -> TrainReport:
     """Fit forward and backward block models with plain gradient descent.
 
     Each step rebuilds the confidence maps from the current predictions
@@ -248,16 +240,13 @@ def train(scene: Scene, model: BlockFlowModel, config: TrainConfig) -> TrainRepo
     the scattered weight mass keeps the per-cell step bounded by the
     learning rate for every mode, so a weight map shifts where each cell
     settles (its weighted median) without acting as a learning-rate
-    multiplier. The input model is not mutated; the backward predictor is an
-    independent zero-initialized parameter set of the same shape.
+    multiplier. Both models have the scene's size and config.block_size and
+    start at zero.
     """
-    if scene.spec.height != model.height or scene.spec.width != model.width:
-        raise ValueError("scene dimensions do not match the model")
-
     spec = config.loss_spec
     # (forward, backward) pairs: models, their labels, predictions, weights.
-    models = (BlockFlowModel(model.height, model.width, model.block_size, params=model.params),
-              BlockFlowModel(model.height, model.width, model.block_size))
+    models = tuple(BlockFlowModel(scene.spec.height, scene.spec.width, config.block_size)
+                   for _ in range(2))
     labels = (scene.train_labels, scene.train_labels_backward)
     loss_history: list[float] = []
     snapshots: list[tuple[int, Grid1, Grid1]] = []
@@ -324,8 +313,8 @@ def _mean_or_none(values):
     return float(np.mean(values))
 
 
-def compare_runs(config: TrainConfig, specs: Sequence[WeightSpec], scenes: Sequence[Scene],
-                 block_size: int = BLOCK_SIZE) -> list[ComparisonRow]:
+def compare_runs(config: TrainConfig, specs: Sequence[WeightSpec],
+                 scenes: Sequence[Scene]) -> list[ComparisonRow]:
     """Train one model per (loss spec, scene) pair under `config` with that
     loss spec, and average the metrics per spec.
 
@@ -339,8 +328,7 @@ def compare_runs(config: TrainConfig, specs: Sequence[WeightSpec], scenes: Seque
     rows = []
     for spec in specs:
         cfg = replace(config, loss_spec=spec)
-        reports = [train(scene, BlockFlowModel(scene.spec.height, scene.spec.width, block_size),
-                         cfg) for scene in scenes]
+        reports = [train(scene, cfg) for scene in scenes]
         rows.append(ComparisonRow(
             mode=spec.mode,
             epe=_mean_or_none([r.report.epe for r in reports]),

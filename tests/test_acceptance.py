@@ -16,7 +16,6 @@ import pytest
 import oracles
 from confloss import (
     BinaryMask,
-    BlockFlowModel,
     Grid1,
     Grid2,
     MODES,
@@ -325,7 +324,7 @@ def toy_runs():
     def run(mode):
         cfg = TrainConfig(steps=500, learning_rate=0.05,
                           loss_spec=WeightSpec(mode))
-        return [train(scene, BlockFlowModel(64, 64), cfg) for scene in scenes()]
+        return [train(scene, cfg) for scene in scenes()]
 
     return run
 

@@ -1,20 +1,23 @@
-"""The benchmark's per-layer tracer wraps library names it looks up by string.
+"""The benchmark's per-layer tracer wraps library names it looks up by string,
+and its toytrain workload writes a config file of its own.
 
-A rename or deletion of a traced function would otherwise surface only in
-`bench/run.py --trace 1`; these tests make it fail the suite, as they do a
-read the tracer cannot see.
+A rename or deletion of a traced function, or a change to a config key the
+workload writes, would otherwise surface only in a `bench/run.py` run; these
+tests make it fail the suite, as they do a read the tracer cannot see.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from confloss import BinaryMask, Grid2, cli
+from confloss import BinaryMask, Grid2, TrainConfig, cli
 from confloss.fileio import write_flo, write_pgm
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -65,3 +68,27 @@ def test_tracer_sees_every_cli_read(tmp_path, capsys):
         tracer.uninstall()
     assert tracer.names.count("fileio.read_flo") == 3 + 2
     assert tracer.names.count("fileio.read_pgm_mask") == 1
+
+
+def test_toy_workload_config_reaches_the_trainer(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports `common`
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    calls = []
+    monkeypatch.setattr(cli, "compare_runs",
+                        lambda config, specs, scenes: calls.append((config, specs)) or [])
+    for seed in (0, 1):
+        toy = workloads.ToyTrain()
+        toy.generate(seed, tmp_path / str(seed))
+        text = toy.config.read_text(encoding="utf-8")
+        keys = [line.split("=")[0].strip() for line in text.splitlines()
+                if line and not line.startswith("#")]
+        assert sorted(cli.parse_toy_config(text)) == sorted(keys)
+        assert cli.main(["toytrain", "--config", str(toy.config),
+                         "--out-dir", str(toy.out)]) == 0
+        config, specs = calls.pop()
+        assert config.block_size == 8 and cli._TOY_KEYS["block_size"][1] is TrainConfig
+        assert config.steps == workloads.TOY_STEPS
+        assert tuple(spec.mode for spec in specs) == workloads.TOY_MODES

@@ -322,6 +322,19 @@ class TestLoss:
         assert float(capsys.readouterr().out.strip()) == pytest.approx(res.scalar,
                                                                        abs=1e-6)
 
+    def test_value_beyond_float32_is_an_error(self, tmp_path, capsys):
+        # |gt - pred| = 6e38 fits float64 but not the PFM's float32 samples.
+        pred = tmp_path / "p.pfm"
+        gt = tmp_path / "g.pfm"
+        for path, value in ((pred, 3e38), (gt, -3e38)):
+            path.write_bytes(b"Pf\n3 2\n-1.0\n" + np.full(6, value, "<f4").tobytes())
+        loss_map = tmp_path / "l.pfm"
+        assert main(["loss", "--task", "stereo", "--mode", "db", "--pred", str(pred),
+                     "--gt", str(gt), "--out-loss-map", str(loss_map)]) == 1
+        assert capsys.readouterr().err == ("confloss: error: cannot write a value outside "
+                                           "the float32 range (+-3.4028235e+38)\n")
+        assert not loss_map.exists()
+
 
 class TestEval:
     def test_perfect_prediction_csv(self, tmp_path, rng, capsys):
@@ -793,20 +806,20 @@ class TestToytrain:
     def test_every_key_reaches_its_field(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "compare_runs",
-                            lambda config, specs, scenes, block_size: calls.append(
-                                (config, specs, scenes, block_size)) or [])
+                            lambda config, specs, scenes: calls.append(
+                                (config, specs, scenes)) or [])
         cfg = tmp_path / "c.txt"
         cfg.write_text(ALL_KEYS_CONFIG)
         assert main(["toytrain", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
-        [(config, specs, scenes, block_size)] = calls
-        assert block_size == 4
+        [(config, specs, scenes)] = calls
+        assert config.block_size == 4
         assert [s.spec for s in scenes] == [
             SceneSpec(height=48, width=40, square_size=16, square_motion=(4.0, -2.0),
                       background_motion=(1.0, 0.5), occluded_label_noise_sigma=2.5, seed=seed)
             for seed in (3, 5)]
         cycle = CycleParams(gamma1=0.02, gamma2=0.7)
-        assert config == TrainConfig(steps=7, learning_rate=0.1, recompute_confidence_every=2,
-                                     snapshot_every=3)
+        assert config == TrainConfig(steps=7, learning_rate=0.1, block_size=4,
+                                     recompute_confidence_every=2, snapshot_every=3)
         assert specs == [WeightSpec(mode, alpha1=1.5, beta1=0.75, alpha2=3.0, beta2=2.0,
                                     cycle=cycle)
                          for mode in ("db", "mask_sum")]
@@ -833,6 +846,19 @@ class TestToytrain:
             assert code == 1
             assert re.fullmatch(rf"confloss: error: training diverged at step {step}: [^\n]+\n",
                                 capsys.readouterr().err), text
+
+    @pytest.mark.parametrize("block_size, message", [
+        (1, "block_size must be >= 2"),
+        (5, "not divisible by block size 5"),
+    ])
+    def test_bad_block_size_reaches_user(self, tmp_path, capsys, block_size, message):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"height = 64\nwidth = 64\nsteps = 2\nblock_size = {block_size}\n")
+        assert main(["toytrain", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("confloss: error: ") and message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("line, field", [
         ("noise_sigma = nan", "noise_sigma"),

@@ -34,7 +34,7 @@ from confloss import (
     evaluate_loss,
     occlusion_mask,
 )
-from confloss.fields import _CHUNK, coordinate_grids, sample_values
+from confloss.fields import _CHUNK, sample_values
 
 flows = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
 
@@ -335,7 +335,7 @@ def whole_frame_terms(f_fw, f_bw, params=CycleParams()):
     sampled at integer row coordinates, so its oracle does not share the row
     kernel of the check."""
     h, w = f_fw.shape
-    xs, ys = coordinate_grids(h, w)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     if isinstance(f_fw, Grid2):
         f = f_fw.data
         b, target_valid = sample_values(f_bw.data, xs + f[..., 0], ys + f[..., 1])

@@ -12,13 +12,12 @@ from confloss import (
     Grid1,
     Grid2,
     backward_warp,
-    bilinear_sample,
     disparity_to_flow,
     hflip,
     reverse_disparity_restore,
 )
 from confloss.confidence import cycle_terms
-from confloss.fields import _CHUNK, _linear_rows, coordinate_grids, sample_values
+from confloss.fields import _CHUNK, _linear_rows, sample_values
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, width=32)
 
@@ -72,34 +71,32 @@ class TestGridConstruction:
 
 
 class TestBilinearSample:
+    """Single points through sample_values."""
+
     def test_exact_at_lattice_point(self):
-        g = Grid1(np.arange(12.0).reshape(3, 4))
-        value, ok = bilinear_sample(g, 3, 2)
-        assert ok and value == g.data[2, 3]
+        arr = np.arange(12.0).reshape(3, 4)
+        value, ok = sample_values(arr, 3, 2)
+        assert ok and value == arr[2, 3]
 
     def test_cell_center_average(self):
-        g = Grid1(np.array([[0.0, 1.0], [2.0, 3.0]]))
-        value, ok = bilinear_sample(g, 0.5, 0.5)
+        value, ok = sample_values(np.array([[0.0, 1.0], [2.0, 3.0]]), 0.5, 0.5)
         assert ok and value == pytest.approx(1.5)
 
     def test_out_of_bounds_is_flagged_zero(self):
-        g = Grid1(np.ones((3, 3)))
-        assert bilinear_sample(g, -0.01, 0) == (0.0, False)
-        assert bilinear_sample(g, 0, 2.0001) == (0.0, False)
-        assert bilinear_sample(g, np.nan, 1) == (0.0, False)
-        assert bilinear_sample(g, 1, np.nan) == (0.0, False)
+        for x, y in ((-0.01, 0), (0, 2.0001)):
+            value, ok = sample_values(np.ones((3, 3)), x, y)
+            assert value == 0.0 and not ok
 
     def test_vector_grid(self):
-        g = Grid2.constant(2, 2, 1.0, -2.0)
-        value, ok = bilinear_sample(g, 0.25, 0.75)
-        assert ok
+        value, ok = sample_values(Grid2.constant(2, 2, 1.0, -2.0).data, 0.25, 0.75)
+        assert ok and value.shape == (2,)
         np.testing.assert_allclose(value, [1.0, -2.0])
 
     @given(grid1_arrays(), st.integers(0, 7), st.integers(0, 7))
     def test_lattice_identity_random(self, arr, x, y):
         h, w = arr.shape
         x, y = x % w, y % h
-        value, ok = bilinear_sample(Grid1(arr), x, y)
+        value, ok = sample_values(arr, x, y)
         assert ok and value == arr[y, x]
 
     @given(grid1_arrays(), st.floats(0, 1, allow_nan=False), st.integers(0, 7))
@@ -108,17 +105,17 @@ class TestBilinearSample:
         if w < 2:
             return
         y = y % h
-        v, ok = bilinear_sample(Grid1(arr), t, y)
+        v, ok = sample_values(arr, t, y)
         assert ok
         expected = arr[y, 0] * (1 - t) + arr[y, 1] * t
         assert v == pytest.approx(expected, abs=1e-9)
 
     @given(grid1_arrays(), st.floats(-0.49, 7.49), st.floats(-0.49, 7.49))
     def test_matches_oracle(self, arr, x, y):
-        got = bilinear_sample(Grid1(arr), x, y)
+        value, ok = sample_values(arr, x, y)
         expected = oracles.bilinear(arr.tolist(), x, y)
-        assert got[1] == expected[1]
-        assert got[0] == pytest.approx(expected[0], abs=1e-9)
+        assert ok == expected[1]
+        assert value == pytest.approx(expected[0], abs=1e-9)
 
 
 def fancy_index_sample(data, xs, ys):
@@ -221,16 +218,6 @@ def test_sample_values_across_chunks(channels):
     # The case reaches what it is meant to check.
     assert got_inb.any() and not got_inb.all()
     assert (np.signbit(got) & (got == 0)).any()
-
-
-def test_coordinate_grids_are_read_only_mgrid_values():
-    xs, ys = coordinate_grids(3, 5)
-    want_ys, want_xs = np.mgrid[0:3, 0:5].astype(np.float64)
-    for got, want in ((xs, want_xs), (ys, want_ys)):
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        with pytest.raises(ValueError):
-            got[0, 0] = 1.0
 
 
 @st.composite

@@ -172,6 +172,22 @@ class TestFlo:
             pass
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("write, grid", [
+    (write_flo, lambda v: Grid2.constant(2, 3, 0.0, v)),
+    (write_pfm, lambda v: Grid1.full(2, 3, v)),
+], ids=("flo", "pfm"))
+def test_writer_rejects_values_beyond_float32(write, grid):
+    # The largest finite float32 still writes; past it the cast would give Inf.
+    for value in (F32_MAX, -F32_MAX):
+        write(grid(value))
+    for value in (1.0001 * F32_MAX, -2 * F32_MAX):
+        with pytest.raises(ValueError, match="outside the float32 range"):
+            write(grid(value))
+
+
 class TestPfm:
     def test_round_trip_small(self):
         rng = np.random.default_rng(1)

@@ -36,7 +36,6 @@ from confloss import (
     weighted_l1,
     weighted_l1_grad,
 )
-from confloss.confidence import confidence_from_terms, matched_from_terms
 from confloss.fileio import read_flo, read_pfm, read_pgm_mask, write_flo, write_pfm, write_pgm
 
 _rng = np.random.default_rng(12)
@@ -59,10 +58,6 @@ FLO, PFM, PGM = write_flo(G["flow"]), write_pfm(G["disp"]), write_pgm(G["valid"]
 SPEC = WeightSpec(mode="mask_sum")
 
 
-def _flow_terms():
-    return cycle_terms(G["flow"], G["flow_bw"])
-
-
 CALLS = {
     "backward_warp_grid2": lambda: backward_warp(G["flow_bw"], G["flow"]),
     "backward_warp_grid1": lambda: backward_warp(G["disp"], G["flow"]),
@@ -75,10 +70,8 @@ CALLS = {
     "mask_and": lambda: G["valid"] & G["region"],
     "confidence_db_flow": lambda: confidence_db_flow(G["flow"], G["flow_gt"], G["valid"]),
     "confidence_db_stereo": lambda: confidence_db_stereo(G["disp"], G["disp_gt"], G["valid"]),
-    "cycle_terms_flow": _flow_terms,
+    "cycle_terms_flow": lambda: cycle_terms(G["flow"], G["flow_bw"]),
     "cycle_terms_stereo": lambda: cycle_terms(G["disp"], G["disp_bw"], CycleParams()),
-    "confidence_from_terms": lambda: confidence_from_terms(*_flow_terms()),
-    "matched_from_terms": lambda: matched_from_terms(*_flow_terms()),
     "confidence_oa": lambda: confidence_oa(G["flow"], G["flow_bw"]),
     "confidence_oa_stereo": lambda: confidence_oa_stereo(G["disp"], G["disp_bw"]),
     "occlusion_mask": lambda: occlusion_mask(G["flow"], G["flow_bw"]),

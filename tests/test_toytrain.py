@@ -153,34 +153,27 @@ class TestTrain:
         scene = synth_scene(SceneSpec(square_motion=(0.0, 0.0),
                                       background_motion=(0.0, 0.0),
                                       occluded_label_noise_sigma=0.0))
-        report = train(scene, BlockFlowModel(64, 64), quick_config(steps=500))
+        report = train(scene, quick_config(steps=500))
         assert report.report.epe < 1e-3
         assert report.loss_history[-1] < 1e-12
 
     def test_alpha_zero_reproduces_plain_bitexact(self):
         scene = synth_scene(SceneSpec(seed=1))
-        plain = train(scene, BlockFlowModel(64, 64), quick_config("plain_l1"))
+        plain = train(scene, quick_config("plain_l1"))
         for mode in ("db", "oa", "multiplication", "mask_sum"):
             spec = WeightSpec(mode, alpha1=0.0, alpha2=0.0)
-            rerun = train(scene, BlockFlowModel(64, 64),
-                         quick_config(loss_spec=spec))
+            rerun = train(scene, quick_config(loss_spec=spec))
             assert rerun.loss_history == plain.loss_history
             np.testing.assert_array_equal(rerun.final_forward.data,
                                           plain.final_forward.data)
 
     def test_deterministic(self):
         scene = synth_scene(SceneSpec(seed=4))
-        a = train(scene, BlockFlowModel(64, 64), quick_config("oa"))
-        b = train(scene, BlockFlowModel(64, 64), quick_config("oa"))
+        a = train(scene, quick_config("oa"))
+        b = train(scene, quick_config("oa"))
         assert a.loss_history == b.loss_history
         np.testing.assert_array_equal(a.final_forward.data, b.final_forward.data)
         np.testing.assert_array_equal(a.final_backward.data, b.final_backward.data)
-
-    def test_does_not_mutate_input_model(self):
-        scene = synth_scene(SceneSpec(seed=0))
-        model = BlockFlowModel(64, 64)
-        train(scene, model, quick_config(steps=5))
-        assert (model.params == 0).all()
 
     def test_loss_non_increasing_at_small_lr(self):
         # All targets stay above the predictions for the whole horizon here
@@ -189,31 +182,23 @@ class TestTrain:
         scene = synth_scene(SceneSpec(square_motion=(16.0, 0.0),
                                       background_motion=(8.0, 0.0),
                                       occluded_label_noise_sigma=0.0))
-        report = train(scene, BlockFlowModel(64, 64),
-                      quick_config(steps=500, learning_rate=0.01))
+        report = train(scene, quick_config(steps=500, learning_rate=0.01))
         diffs = np.diff(report.loss_history)
         assert (diffs <= 0).all()
 
     def test_divergence_is_reported_with_step(self):
         scene = synth_scene(SceneSpec(seed=0))
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
-            train(scene, BlockFlowModel(64, 64),
-                 quick_config(steps=5, learning_rate=1e308))
+            train(scene, quick_config(steps=5, learning_rate=1e308))
         assert err.value.step >= 1
 
     def test_snapshots_every_k_steps(self):
         scene = synth_scene(SceneSpec(seed=0))
-        report = train(scene, BlockFlowModel(64, 64),
-                      quick_config(steps=30, snapshot_every=10))
+        report = train(scene, quick_config(steps=30, snapshot_every=10))
         assert [s[0] for s in report.snapshots] == [10, 20, 30]
         for _, m_db, m_oa in report.snapshots:
             assert 0.0 <= m_db.data.min() and m_db.data.max() <= 1.0
             assert 0.0 <= m_oa.data.min() and m_oa.data.max() <= 1.0
-
-    def test_scene_model_shape_mismatch(self):
-        scene = synth_scene(SceneSpec(seed=0))
-        with pytest.raises(ValueError):
-            train(scene, BlockFlowModel(32, 32), quick_config())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
