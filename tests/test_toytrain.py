@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,45 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(recompute_confidence_every=0)
+
+
+# SHA-256 of a 12-step train run on a 32x32 scene (block 4): the forward loss
+# history, both final predictions and every snapshot's step and maps, as
+# float64 bytes. Any change to the step's arithmetic or its order moves them.
+PINNED_TRAIN_DIGESTS = {
+    ("plain_l1", 1): "d73208b8ed22aa107937e812ceaf3191ce128aae8595a6237be1fe8972f3ca5f",
+    ("db", 1): "b701ba16299cad4b1e3661ab59d0de329e9d1adcf034e6c2ae2a395a95b5a832",
+    ("oa", 1): "c1123c8a539de85ee1a72778d0c73726bcc70ecb18cd497bfc49d4fc0e3181ba",
+    ("sum", 1): "7422a6eb4de0fbb4fcb669770579263e1552ad603727a4172ce1cd566ada0e82",
+    ("multiplication", 1): "c6305a45e06f7880165dadcaf720b6a3454b5e5d9055a455fbaef1211519e0b9",
+    ("masking", 1): "345231c5353ee881ddecba191bd4c70dc989527c5731cf7e6d52808d878649a6",
+    ("mask_sum", 1): "c287b1460cc01940bee92553c45f3f645f00b160efdbf0ec2d083f7624f575fe",
+    ("plain_l1", 3): "d73208b8ed22aa107937e812ceaf3191ce128aae8595a6237be1fe8972f3ca5f",
+    ("db", 3): "64d5ebb6d809eb669be2549f15cd36601c79cc4424f0f22b17e5e5d9fd8c1970",
+    ("oa", 3): "391cb524a7888dec75e679120713c3b0a4fe5168f6c4dd13f6850990fb1dda4d",
+    ("sum", 3): "1f2e26b5fd8800823b6c70ff1ce61668ab80677fca20841c0eebe643da129fe0",
+    ("multiplication", 3): "338dd10ad08ee9c031ec16bbb0143ac2095447edda663ae2ec6bdf682bbc9c98",
+    ("masking", 3): "9681ae6e3013e5122d6a87fbf4496d6243c8c8a2ef9f54f38a47486ca5869dc4",
+    ("mask_sum", 3): "21fc84dceb9ecc9243ede52ce390b864a28b076f8debfd4409de610fdc52d11b",
+}
+
+
+@pytest.mark.parametrize("mode, every", sorted(PINNED_TRAIN_DIGESTS))
+def test_train_bits_pinned(mode, every):
+    scene = synth_scene(SceneSpec(height=32, width=32, square_size=16,
+                                  square_motion=(4.0, 0.0),
+                                  occluded_label_noise_sigma=2.0, seed=3))
+    report = train(scene, TrainConfig(steps=12, block_size=4, loss_spec=WeightSpec(mode),
+                                      recompute_confidence_every=every, snapshot_every=5))
+    assert [s[0] for s in report.snapshots] == [5, 10]
+    digest = hashlib.sha256(np.array(report.loss_history).tobytes())
+    for grid in (report.final_forward, report.final_backward):
+        digest.update(grid.data.tobytes())
+    for step, m_db, m_oa in report.snapshots:
+        digest.update(step.to_bytes(4, "little"))
+        digest.update(m_db.data.tobytes())
+        digest.update(m_oa.data.tobytes())
+    assert digest.hexdigest() == PINNED_TRAIN_DIGESTS[mode, every]
 
 
 class TestCompareRuns:
