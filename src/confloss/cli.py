@@ -98,14 +98,10 @@ def _path(text: str) -> str:
 
 def _add_common_params(p: argparse.ArgumentParser):
     p.add_argument("--task", choices=(FLOW, STEREO), default=FLOW)
-    p.add_argument("--alpha1", type=float, default=None,
-                   help="error-term weight scale (default per task)")
-    p.add_argument("--beta1", type=float, default=None,
-                   help="error-term weight exponent (default per task)")
-    p.add_argument("--alpha2", type=float, default=None,
-                   help="cycle-term weight scale (default per task)")
-    p.add_argument("--beta2", type=float, default=None,
-                   help="cycle-term weight exponent (default per task)")
+    for name, term, what in zip(_WEIGHT_PARAMS, ("error", "error", "cycle", "cycle"),
+                                ("scale", "exponent") * 2):
+        p.add_argument(f"--{name}", type=float, default=None,
+                       help=f"{term}-term weight {what} (default per task)")
     p.add_argument("--gamma1", type=float, default=CycleParams.gamma1)
     p.add_argument("--gamma2", type=float, default=CycleParams.gamma2)
 
@@ -157,7 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_path, help="output CSV path (default stdout)")
 
     p = sub.add_parser("reverse-disparity",
-                       help="flip and negate a flipped-pair disparity estimate")
+                       help="flip and negate a flipped-pair disparity estimate",
+                       description="Write -flip(input). The input is the flipped pair's "
+                                   "estimate as flow-x, which is negative; a matcher that outputs"
+                                   " positive disparity passes its flipped estimate negated.")
     p.add_argument("--input", type=_path, required=True)
     p.add_argument("--output", type=_path, required=True)
 
@@ -179,12 +178,20 @@ def _show_defaults() -> None:
     for task, defaults in _TASK_SPECS.items():
         spec = defaults()
         print(f"  {task:6s}", *(getattr(spec, k) for k in _WEIGHT_PARAMS))
-    print(f"gamma1 {CycleParams.gamma1}")
-    print(f"gamma2 {CycleParams.gamma2}")
-    print(f"gamma_seq {SequenceParams.gamma_seq}")
+    for name, owner in (("gamma1", CycleParams), ("gamma2", CycleParams),
+                        ("gamma_seq", SequenceParams)):
+        print(name, getattr(owner, name))
     print(f"toytrain: steps {TrainConfig.steps}, learning_rate {TrainConfig.learning_rate}, "
           f"block_size {TrainConfig.block_size}, "
           f"recompute_confidence_every {TrainConfig.recompute_confidence_every}")
+
+
+def _write_outputs(*outputs) -> None:
+    """Encode each (path, encode, value) whose path is given, then write them
+    in order: an encoding error writes no file, a failed write the ones before."""
+    encoded = [(path, encode(value)) for path, encode, value in outputs if path]
+    for path, data in encoded:
+        Path(path).write_bytes(data)
 
 
 def cmd_confmap(args) -> int:
@@ -209,10 +216,8 @@ def cmd_confmap(args) -> int:
         (fw, bw), valids = _load_fields(args.task, args.forward, args.backward)
         _require_known((args.forward, args.backward), valids)
         conf = confidence_oa(fw, bw, spec.cycle)
-    if args.out_pfm:
-        Path(args.out_pfm).write_bytes(fileio.write_pfm(conf))
-    if args.out_pgm:
-        Path(args.out_pgm).write_bytes(fileio.write_pgm(conf))
+    _write_outputs((args.out_pfm, fileio.write_pfm, conf),
+                   (args.out_pgm, fileio.write_pgm, conf))
     return 0
 
 
@@ -243,12 +248,10 @@ def cmd_loss(args) -> int:
                                         SequenceParams(args.gamma_seq), backwards)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    print(f"{total:.6f}")
     last = per_iter[-1]
-    if args.out_loss_map:
-        Path(args.out_loss_map).write_bytes(fileio.write_pfm(last.loss_map))
-    if args.out_weight_map:
-        Path(args.out_weight_map).write_bytes(fileio.write_pfm(last.weight_map))
+    _write_outputs((args.out_loss_map, fileio.write_pfm, last.loss_map),
+                   (args.out_weight_map, fileio.write_pfm, last.weight_map))
+    print(f"{total:.6f}")
     return 0
 
 

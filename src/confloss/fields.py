@@ -309,8 +309,11 @@ def hflip(field: Grid2 | Grid1 | BinaryMask):
 def reverse_disparity_restore(d_flipped_estimate: Grid1) -> Grid1:
     """Undo the swap-and-flip trick: flip columns back and negate.
 
-    output(y, j) = -d_flipped_estimate(y, width-1-j). Applying it twice is
-    the identity (bit-exact).
+    output(y, j) = -d_flipped_estimate(y, width-1-j), that is -flip(input).
+    The input is the flipped pair's estimate as flow-x, which is negative, so
+    the output is the positive right-to-left disparity; a matcher that
+    outputs positive disparity passes its flipped estimate negated. Applying
+    it twice is the identity (bit-exact).
     """
     return Grid1._own(-d_flipped_estimate.data[:, ::-1])
 

@@ -16,9 +16,10 @@ where H is the hard matched/occluded mask from the cycle check. Weight maps
 are constants as far as differentiation is concerned (stop-gradient): the
 gradient flows only through the residual.
 
-The weights and the loss map are row kernels like confidence's. evaluate_loss
-runs the error-based map, the cycle check, the weights and the loss band by
-band in one pass, with the bits of build_weights followed by weighted_l1.
+The weights, the loss map and the gradient are row kernels like confidence's.
+evaluate_loss runs the error-based map, the cycle check, the weights and the
+loss band by band in one pass, with the bits of build_weights followed by
+weighted_l1; the toy trainer's pass also gives the gradient.
 """
 
 from __future__ import annotations
@@ -214,42 +215,51 @@ def weighted_l1(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
                       loss_map=Grid1._own(loss_map), n_valid=n_valid)
 
 
+def _grad_rows(r, weights, valid, out) -> None:
+    """Row kernel of weighted_l1_grad on r = gt - pred into out, one plane
+    (rows, W) per component of r: w * -sign(r), 0 where not valid."""
+    for c, g in enumerate(out):
+        np.sign(r[..., c] if r.ndim == 3 else r, out=g)
+        np.negative(g, out=g)
+        g *= weights
+        np.copyto(g, 0.0, where=~valid)
+
+
 def weighted_l1_grad(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
                      valid: BinaryMask) -> Grid2 | Grid1:
     """Derivative of weighted_l1's per-pixel loss w.r.t. pred: w * -sign(gt - pred)
     per component, sign(0) = 0, zero on invalid pixels. Divide by n_valid for
     the gradient of the mean; the weights are constants (stop-gradient)."""
     _check_loss_inputs(pred, gt, valid, weights)
-    residual = gt.data - pred.data
-    planes = (residual[..., 0], residual[..., 1]) if isinstance(pred, Grid2) else (residual,)
-    invalid = ~valid.data
-    grads = [np.sign(r) for r in planes]
-    for g in grads:  # w * -sign(r), 0 on invalid pixels
-        np.negative(g, out=g)
-        g *= weights.data
-        np.copyto(g, 0.0, where=invalid)
-    return Grid2._own(np.stack(grads, axis=-1)) if len(grads) == 2 else Grid1._own(grads[0])
+    grad = np.empty(pred.data.shape)
+    _grad_rows(gt.data - pred.data, weights.data, valid.data,
+               np.moveaxis(grad, -1, 0) if grad.ndim == 3 else grad[None])
+    return type(pred)._own(grad)
 
 
 def _weights_and_loss(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
                       valid: BinaryMask, backward: Grid2 | Grid1 | None,
-                      loss_map: np.ndarray | None = None) -> np.ndarray:
-    """build_weights' map, and weighted_l1's loss map into loss_map if given,
+                      loss_map=None, grad=None, weights=None, keep_weights=False):
+    """build_weights' map into weights (a new array unless given; with
+    keep_weights, the given map is used as it is), weighted_l1's loss map into
+    loss_map and weighted_l1_grad's (C, H, W) planes into grad, each if given,
     in one pass over row bands. Each band computes gt - pred once; the cycle
     terms, M_oa and H stay band-sized."""
     h, w = check_same_shape(pred, gt, valid)
-    uses = _FACTORS[spec.mode]
-    with_residual = "db" in uses or loss_map is not None
-    if spec.needs_backward:
+    uses = set() if keep_weights else _FACTORS[spec.mode]
+    check = spec.needs_backward and not keep_weights
+    with_residual = "db" in uses or loss_map is not None or grad is not None
+    if check:
         if backward is None:
             raise ValueError(f"mode {spec.mode!r} needs a backward field")
         terms = _cycle_rows(pred, backward, spec.cycle)
-    weights = np.empty((h, w))
+    if weights is None:
+        weights = np.empty((h, w))
 
     def band(r0, r1):
         ok, out = valid.data[r0:r1], weights[r0:r1]
         m_oa = hard = None
-        if spec.needs_backward:
+        if check:
             num, den, target_valid = terms(r0, r1)
             if "hard" in uses:
                 hard = _matched_rows(num, den, target_valid)
@@ -259,9 +269,12 @@ def _weights_and_loss(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
         r = gt.data[r0:r1] - pred.data[r0:r1] if with_residual else None
         if "db" in uses:  # M_db is built in the weight rows, then updated in place
             _db_rows(r, ok, out)
-        _weight_rows(spec, out, m_oa, hard, out)
+        if not keep_weights:
+            _weight_rows(spec, out, m_oa, hard, out)
         if loss_map is not None:
             _l1_rows(r, out, ok, loss_map[r0:r1])
+        if grad is not None:
+            _grad_rows(r, out, ok, grad[:, r0:r1])
 
     _in_row_bands(band, h, w)
     return weights

@@ -18,7 +18,7 @@ import numpy as np
 
 from .confidence import confidence_db_flow, confidence_oa
 from .fields import BinaryMask, Grid1, Grid2, check_finite
-from .losses import WeightSpec, build_weights, weighted_l1, weighted_l1_grad
+from .losses import WeightSpec, _weights_and_loss
 from .metrics import MetricReport, full_report
 
 
@@ -57,18 +57,13 @@ class SceneSpec:
         if self.square_size < 1 or self.square_size > min(self.height, self.width):
             raise ValueError(f"square size {self.square_size} does not fit a "
                              f"{self.height}x{self.width} frame")
-        x0, y0 = self.square_origin
-        mx, my = self.square_motion
-        for lo, hi, label in (
-            (x0, x0 + self.square_size, "x"),
-            (y0, y0 + self.square_size, "y"),
-            (x0 + mx, x0 + mx + self.square_size, "moved x"),
-            (y0 + my, y0 + my + self.square_size, "moved y"),
-        ):
-            bound = self.width if "x" in label else self.height
-            if lo < 0 or hi > bound:
+        (x0, y0), (mx, my), size = self.square_origin, self.square_motion, self.square_size
+        for lo, label, bound in ((x0, "x", self.width), (y0, "y", self.height),
+                                 (x0 + mx, "moved x", self.width),
+                                 (y0 + my, "moved y", self.height)):
+            if lo < 0 or lo + size > bound:
                 raise ValueError(f"square leaves the frame along {label} "
-                                 f"({lo}..{hi} vs 0..{bound})")
+                                 f"({lo}..{lo + size} vs 0..{bound})")
 
     @property
     def square_origin(self) -> tuple[int, int]:
@@ -147,7 +142,8 @@ class BlockFlowModel:
 
     One parameter pair per block keeps capacity strictly below one parameter
     per pixel, which forces the trade-offs the weighted losses manage. The
-    parameters start at zero.
+    parameters are stored channel-first, (2, h, w), and start at zero; every
+    array the model takes or returns is channel-first too.
     """
 
     def __init__(self, height: int, width: int, block_size: int):
@@ -156,9 +152,9 @@ class BlockFlowModel:
         if height % block_size or width % block_size:
             raise ValueError(f"{height}x{width} not divisible by block size {block_size}")
         self.block_size = block_size
-        self.params = np.zeros((height // block_size, width // block_size, 2))
-        self._ry = self._axis_matrix(height, self.params.shape[0])
-        self._rx = self._axis_matrix(width, self.params.shape[1])
+        self.params = np.zeros((2, height // block_size, width // block_size))
+        self._ry = self._axis_matrix(height, self.params.shape[1])
+        self._rx = self._axis_matrix(width, self.params.shape[2])
 
     def _axis_matrix(self, n_full: int, n_coarse: int) -> np.ndarray:
         """(n_full, n_coarse) linear-interpolation weights along one axis."""
@@ -169,23 +165,22 @@ class BlockFlowModel:
         return np.maximum(0.0, 1.0 - np.abs(c[:, None] - np.arange(n_coarse)))
 
     def upsample(self, params: np.ndarray) -> np.ndarray:
-        """Per channel c: R_y @ params[..., c] @ R_x.T."""
-        return np.moveaxis(self._ry @ np.moveaxis(params, -1, 0) @ self._rx.T, 0, -1)
+        """Per channel c: R_y @ params[c] @ R_x.T."""
+        return self._ry @ params @ self._rx.T
 
-    def upsample_transpose(self, grad_full: np.ndarray) -> np.ndarray:
-        """Adjoint of upsample: per channel c, R_y.T @ grad_full[..., c] @ R_x."""
-        return np.moveaxis(self._ry.T @ np.moveaxis(grad_full, -1, 0) @ self._rx, 0, -1)
+    def upsample_transpose(self, planes: np.ndarray) -> np.ndarray:
+        """Adjoint of upsample: per channel c, R_y.T @ planes[c] @ R_x."""
+        return self._ry.T @ planes @ self._rx
 
-    def footprint_weighted_mean(self, values: np.ndarray,
-                                mass: np.ndarray) -> np.ndarray:
+    def footprint_weighted_mean(self, planes: np.ndarray) -> np.ndarray:
         """Per-cell weighted average of full-resolution values.
 
-        values is (H, W, 2) and mass is (H, W); both go through one
-        three-channel adjoint, and the result divides the scattered values by
-        the scattered mass, cellwise, with empty cells mapping to 0.
+        planes is (3, H, W): the values' two channels, then their mass. All
+        three go through one adjoint, and the result divides the scattered
+        values by the scattered mass, cellwise, with empty cells mapping to 0.
         """
-        scattered = self.upsample_transpose(np.dstack((values, mass)))
-        num, den = scattered[..., :2], scattered[..., 2:]
+        scattered = self.upsample_transpose(planes)
+        num, den = scattered[:2], scattered[2:]
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
@@ -221,13 +216,13 @@ class TrainReport:
 
 
 def _predictions(models, step: int) -> list[Grid2]:
-    """Each model's upsampled prediction, reported as divergence at `step`
-    unless every entry is finite (an overflow on the way already raises
-    under train's np.errstate(over="raise"))."""
+    """Each model's upsampled prediction as an (H, W, 2) view, reported as
+    divergence at `step` unless every entry is finite (an overflow on the way
+    already raises under train's np.errstate(over="raise"))."""
     data = [m.upsample(m.params) for m in models]
     if not all(np.all(np.isfinite(d)) for d in data):
         raise TrainingDivergedError(step, "prediction is not finite")
-    return [Grid2._own(d) for d in data]
+    return [Grid2._own(np.moveaxis(d, 0, -1)) for d in data]
 
 
 def train(scene: Scene, config: TrainConfig) -> TrainReport:
@@ -236,7 +231,8 @@ def train(scene: Scene, config: TrainConfig) -> TrainReport:
     Each step rebuilds the confidence maps from the current predictions
     (every recompute_confidence_every steps), assembles the mode's weight
     map with stop-gradient, and moves each coarse cell by the weighted mean
-    of the weighted-L1 pixel gradients under its footprint. Normalizing by
+    of the weighted-L1 pixel gradients under its footprint, with one banded
+    pass per model for the weights, the gradient and the loss. Normalizing by
     the scattered weight mass keeps the per-cell step bounded by the
     learning rate for every mode, so a weight map shifts where each cell
     settles (its weighted median) without acting as a learning-rate
@@ -244,10 +240,15 @@ def train(scene: Scene, config: TrainConfig) -> TrainReport:
     start at zero.
     """
     spec = config.loss_spec
-    # (forward, backward) pairs: models, their labels, predictions, weights.
-    models = tuple(BlockFlowModel(scene.spec.height, scene.spec.width, config.block_size)
-                   for _ in range(2))
+    h, w = scene.spec.height, scene.spec.width
+    # (forward, backward) pairs: models, their labels, predictions, planes.
+    models = tuple(BlockFlowModel(h, w, config.block_size) for _ in range(2))
     labels = (scene.train_labels, scene.train_labels_backward)
+    invalid, n_valid = ~scene.valid.data, scene.valid.count()
+    # Per model, allocated once: gradient u and v, then the weight map, which
+    # is the footprint mean's mass (0 where not valid); the forward loss map.
+    planes = np.empty((2, 3, h, w))
+    loss_map = np.empty((h, w))
     loss_history: list[float] = []
     snapshots: list[tuple[int, Grid1, Grid1]] = []
 
@@ -258,21 +259,18 @@ def train(scene: Scene, config: TrainConfig) -> TrainReport:
         for step in range(config.steps):
             with _diverges_at(step):
                 preds = _predictions(models, step)
-                if step % config.recompute_confidence_every == 0:
-                    weights = [build_weights(spec, pred, label, scene.valid, backward=other)
-                               for pred, label, other in zip(preds, labels, preds[::-1])]
+                fresh = step % config.recompute_confidence_every == 0
+                # Both models step; the history reads the forward loss only.
+                for pred, label, other, p, lm in zip(preds, labels, preds[::-1], planes,
+                                                     (loss_map, None)):
+                    _weights_and_loss(spec, pred, label, scene.valid, other, lm, p[:2], p[2],
+                                      keep_weights=not fresh)
+                    if fresh:
+                        np.copyto(p[2], 0.0, where=invalid)
+                loss_history.append(float(loss_map.sum() / n_valid))
 
-                # Both models step; the history reads the forward loss only. This
-                # order, `loss` held through the updates, keeps the allocator from
-                # trimming and re-faulting the heap every step.
-                grads = [weighted_l1_grad(pred, label, weight, scene.valid)
-                         for pred, label, weight in zip(preds, labels, weights)]
-                loss = weighted_l1(preds[0], labels[0], weights[0], scene.valid)
-                loss_history.append(loss.scalar)
-
-                for m, grad, weight in zip(models, grads, weights):
-                    m.params -= config.learning_rate * m.footprint_weighted_mean(
-                        grad.data, np.where(scene.valid.data, weight.data, 0.0))
+                for m, p in zip(models, planes):
+                    m.params -= config.learning_rate * m.footprint_weighted_mean(p)
 
                 if config.snapshot_every and (step + 1) % config.snapshot_every == 0:
                     snapshots.append((step + 1,
@@ -286,14 +284,8 @@ def train(scene: Scene, config: TrainConfig) -> TrainReport:
             # Scored against the clean ground truth; matched region = not occluded.
             report = full_report(final_fw, scene.gt_forward, scene.valid,
                                  region=~scene.occlusion)
-    return TrainReport(
-        mode=spec.mode,
-        loss_history=loss_history,
-        report=report,
-        final_forward=final_fw,
-        final_backward=final_bw,
-        snapshots=snapshots,
-    )
+    return TrainReport(mode=spec.mode, loss_history=loss_history, report=report,
+                       final_forward=final_fw, final_backward=final_bw, snapshots=snapshots)
 
 
 @dataclass(frozen=True)
@@ -308,9 +300,7 @@ class ComparisonRow:
 
 
 def _mean_or_none(values):
-    if any(v is None for v in values):
-        return None
-    return float(np.mean(values))
+    return None if any(v is None for v in values) else float(np.mean(values))
 
 
 def compare_runs(config: TrainConfig, specs: Sequence[WeightSpec],

@@ -335,6 +335,35 @@ class TestLoss:
                                            "the float32 range (+-3.4028235e+38)\n")
         assert not loss_map.exists()
 
+    def test_unencodable_output_writes_nothing_and_prints_nothing(self, tmp_path, capsys):
+        # The weight map (all 3.0) encodes; the loss map (1.8e39) does not.
+        pred, gt = tmp_path / "p.pfm", tmp_path / "g.pfm"
+        for path, value in ((pred, 3e38), (gt, -3e38)):
+            path.write_bytes(b"Pf\n3 2\n-1.0\n" + np.full(6, value, "<f4").tobytes())
+        weight_map, loss_map = tmp_path / "w.pfm", tmp_path / "l.pfm"
+        assert main(["loss", "--task", "stereo", "--mode", "db", "--pred", str(pred),
+                     "--gt", str(gt), "--out-weight-map", str(weight_map),
+                     "--out-loss-map", str(loss_map)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("confloss: error: cannot write a value outside the float32")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.pfm", "p.pfm"]
+
+    @pytest.mark.parametrize("command", ("loss", "confmap"))
+    def test_unwritable_second_output_prints_nothing(self, command, tmp_path, rng, capsys):
+        field = rng.normal(size=(3, 4, 2)).astype(np.float32)
+        pred, gt = flo(tmp_path / "p.flo", field), flo(tmp_path / "g.flo", field + 0.5)
+        first, second = tmp_path / "first.pfm", tmp_path / "missing" / "second"
+        outputs = (["--out-loss-map", str(first), "--out-weight-map", str(second)]
+                   if command == "loss" else
+                   ["--mode", "db", "--out-pfm", str(first), "--out-pgm", str(second)])
+        assert main([command, "--pred", pred, "--gt", gt, *outputs]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("confloss: error: ") and str(second) in err
+        # Written before the failing write, the first output stays.
+        assert first.exists() and not second.parent.exists()
+
 
 class TestEval:
     def test_perfect_prediction_csv(self, tmp_path, rng, capsys):

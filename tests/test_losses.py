@@ -440,6 +440,37 @@ class TestFusedPass:
                 np.testing.assert_array_equal(bits(got.weight_map.data), bits(weight_map))
                 np.testing.assert_array_equal(bits(got.loss_map.data), bits(loss_map))
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("task", ("flow", "stereo"))
+    def test_gradient_output_bit_equal_to_weighted_l1_grad(self, task, workers, monkeypatch):
+        monkeypatch.setattr(confidence_module, "_WORKERS", workers)
+        make_spec, pred, gt, valid, backward = _banded_loss_inputs(task)
+        shape = (pred.data.ndim - 1, *valid.shape)  # one plane per component
+        for mode in MODES:
+            spec = make_spec(mode)
+            split = evaluate_loss(pred, gt, valid, spec, backward)
+            expected = weighted_l1_grad(pred, gt, split.weight_map, valid).data
+            expected = np.moveaxis(expected, -1, 0) if expected.ndim == 3 else expected[None]
+            loss_map, grad = np.empty(valid.shape), np.empty(shape)
+            weights = losses_module._weights_and_loss(spec, pred, gt, valid, backward,
+                                                      loss_map, grad)
+            np.testing.assert_array_equal(bits(weights), bits(split.weight_map.data))
+            np.testing.assert_array_equal(bits(loss_map), bits(split.loss_map.data))
+            np.testing.assert_array_equal(bits(grad), bits(expected))
+
+            # Kept weights: the given map is used as it is, with no backward
+            # field and no confidence map built.
+            with monkeypatch.context() as m:
+                m.setattr(losses_module, "_cycle_rows", None)
+                m.setattr(losses_module, "_db_rows", None)
+                kept_loss, kept_grad, kept = np.empty(valid.shape), np.empty(shape), weights.copy()
+                assert losses_module._weights_and_loss(
+                    spec, pred, gt, valid, None, kept_loss, kept_grad, kept,
+                    keep_weights=True) is kept
+            np.testing.assert_array_equal(bits(kept), bits(weights))
+            np.testing.assert_array_equal(bits(kept_loss), bits(loss_map))
+            np.testing.assert_array_equal(bits(kept_grad), bits(grad))
+
     @pytest.mark.parametrize("task", ("flow", "stereo"))
     def test_one_banded_pass_per_map(self, task, monkeypatch):
         passes = []

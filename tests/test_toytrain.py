@@ -1,20 +1,29 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import oracles
+from confloss import confidence as confidence_module
+from confloss import losses as losses_module
 from confloss import (
+    MODES,
+    BinaryMask,
     BlockFlowModel,
+    Grid2,
     SceneSpec,
     TrainConfig,
     TrainingDivergedError,
     WeightSpec,
     backward_warp,
+    build_weights,
     compare_runs,
     occlusion_mask,
     synth_scene,
     train,
+    weighted_l1,
+    weighted_l1_grad,
 )
 
 
@@ -104,17 +113,21 @@ class TestBlockFlowModel:
 
     def test_upsample_constant_field(self):
         model = BlockFlowModel(16, 16, 4)
-        model.params[...] = [2.0, -1.0]
+        assert model.params.shape == (2, 4, 4)
+        model.params[0], model.params[1] = 2.0, -1.0
         pred = model.upsample(model.params)
-        np.testing.assert_allclose(pred[..., 0], 2.0)
-        np.testing.assert_allclose(pred[..., 1], -1.0)
+        assert pred.shape == (2, 16, 16)
+        np.testing.assert_allclose(pred[0], 2.0)
+        np.testing.assert_allclose(pred[1], -1.0)
 
     @pytest.mark.parametrize("h, w, block", UPSAMPLE_SHAPES)
     def test_upsample_matches_oracle(self, h, w, block):
         model = BlockFlowModel(h, w, block)
         p = np.random.default_rng(1).normal(size=model.params.shape)
-        expected = np.array(oracles.block_upsample(p.tolist(), block))
-        np.testing.assert_allclose(model.upsample(p), expected, rtol=0, atol=1e-12)
+        # The oracle is channel-last: (h, w, 2) in, (H, W, 2) out.
+        expected = np.array(oracles.block_upsample(np.moveaxis(p, 0, -1).tolist(), block))
+        np.testing.assert_allclose(model.upsample(p), np.moveaxis(expected, -1, 0),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("h, w, block", UPSAMPLE_SHAPES)
     def test_transpose_is_adjoint(self, h, w, block):
@@ -122,7 +135,7 @@ class TestBlockFlowModel:
         rng = np.random.default_rng(0)
         for _ in range(5):
             p = rng.normal(size=model.params.shape)
-            g = rng.normal(size=(h, w, 2))
+            g = rng.normal(size=(2, h, w))
             lhs = np.sum(model.upsample(p) * g)
             rhs = np.sum(p * model.upsample_transpose(g))
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -137,10 +150,11 @@ class TestBlockFlowModel:
         values = mass[..., None] * rng.normal(size=(h, w, 2))
         expected = np.array(oracles.footprint_weighted_mean(
             values.tolist(), mass.tolist(), block))
-        got = model.footprint_weighted_mean(values, mass)
+        planes = np.ascontiguousarray(np.moveaxis(np.dstack((values, mass)), -1, 0))
+        got = model.footprint_weighted_mean(planes)
         assert got.shape == model.params.shape
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-        assert (got[0, 0] == 0.0).all()
+        np.testing.assert_allclose(got, np.moveaxis(expected, -1, 0), rtol=0, atol=1e-12)
+        assert (got[:, 0, 0] == 0.0).all()
 
 
 def quick_config(mode="plain_l1", **kw):
@@ -201,6 +215,50 @@ class TestTrain:
         for _, m_db, m_oa in report.snapshots:
             assert 0.0 <= m_db.data.min() and m_db.data.max() <= 1.0
             assert 0.0 <= m_oa.data.min() and m_oa.data.max() <= 1.0
+
+    @pytest.mark.parametrize("every", (1, 3))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_banded_pass_per_model_per_step(self, mode, every, monkeypatch):
+        passes = []
+        real = confidence_module._in_row_bands
+        for module in (confidence_module, losses_module):
+            monkeypatch.setattr(module, "_in_row_bands",
+                                lambda *args: passes.append(1) or real(*args))
+        scene = synth_scene(SceneSpec(height=32, width=32, square_size=16,
+                                      square_motion=(4.0, 0.0)))
+        train(scene, quick_config(mode, steps=7, block_size=4,
+                                  recompute_confidence_every=every))
+        assert len(passes) == 2 * 7
+
+    @pytest.mark.parametrize("every", (1, 3))
+    @pytest.mark.parametrize("mode", ("plain_l1", "db", "oa", "mask_sum"))
+    def test_equals_public_functions_step_by_step(self, mode, every):
+        # The public functions, one call per map, on a scene with invalid pixels.
+        scene = synth_scene(SceneSpec(height=32, width=32, square_size=16,
+                                      square_motion=(4.0, 0.0), seed=6))
+        valid = BinaryMask(np.random.default_rng(6).random((32, 32)) > 0.2)
+        scene = dataclasses.replace(scene, valid=valid)
+        config = quick_config(mode, steps=8, block_size=4, recompute_confidence_every=every)
+        models = [BlockFlowModel(32, 32, 4) for _ in range(2)]
+        labels = (scene.train_labels, scene.train_labels_backward)
+        history = []
+        for step in range(config.steps):
+            preds = [Grid2(np.moveaxis(m.upsample(m.params), 0, -1)) for m in models]
+            if step % every == 0:
+                weights = [build_weights(config.loss_spec, p, label, valid, backward=other)
+                           for p, label, other in zip(preds, labels, preds[::-1])]
+            grads = [weighted_l1_grad(p, label, wt, valid)
+                     for p, label, wt in zip(preds, labels, weights)]
+            history.append(weighted_l1(preds[0], labels[0], weights[0], valid).scalar)
+            for m, grad, wt in zip(models, grads, weights):
+                mass = np.where(valid.data, wt.data, 0.0)
+                planes = np.concatenate((np.moveaxis(grad.data, -1, 0), mass[None]))
+                m.params -= config.learning_rate * m.footprint_weighted_mean(
+                    np.ascontiguousarray(planes))
+        report = train(scene, config)
+        assert report.loss_history == history
+        for got, m in zip((report.final_forward, report.final_backward), models):
+            np.testing.assert_array_equal(got.data, np.moveaxis(m.upsample(m.params), 0, -1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
