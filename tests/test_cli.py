@@ -184,6 +184,14 @@ class TestConfmap:
             f"confloss: error: confmap --mode {mode} takes no --{other}\n")
         assert not out.exists()
 
+    def test_db_missing_gt_is_usage_error(self, tmp_path, rng, capsys):
+        pred = flo(tmp_path / "p.flo", rng.normal(size=(3, 3, 2)).astype(np.float32))
+        out = tmp_path / "o.pgm"
+        assert main(["confmap", "--mode", "db", "--pred", pred, "--out-pgm", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "confloss: error: confmap --mode db needs --pred and --gt\n")
+        assert not out.exists()
+
     def test_no_output_requested_is_usage_error(self, tmp_path, rng):
         fwd = flo(tmp_path / "f.flo", rng.normal(size=(3, 3, 2)).astype(np.float32))
         assert main(["confmap", "--mode", "db", "--pred", fwd, "--gt", fwd]) == 2
@@ -274,6 +282,17 @@ class TestLoss:
         plain = capsys.readouterr().out
         main(["loss", "--pred", pred, "--gt", gt, "--mode", "db", "--alpha1", "0"])
         assert capsys.readouterr().out == plain
+
+    def test_no_valid_pixel_is_data_error(self, tmp_path, capsys):
+        # Every ground-truth sample is beyond the unknown-flow sentinel.
+        pred = flo(tmp_path / "p.flo", np.zeros((2, 3, 2)))
+        gt = flo(tmp_path / "g.flo", np.full((2, 3, 2), 2e9))
+        loss_map = tmp_path / "l.pfm"
+        assert main(["loss", "--pred", pred, "--gt", gt, "--mode", "db",
+                     "--out-loss-map", str(loss_map)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "confloss: error: no valid pixels: the mean loss is undefined\n")
+        assert not loss_map.exists()
 
     def test_oa_needs_backward_per_pred(self, tmp_path, rng):
         pred = flo(tmp_path / "p.flo", rng.normal(size=(3, 3, 2)).astype(np.float32))
@@ -815,6 +834,20 @@ class TestToytrain:
         assert main(["toytrain", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == \
             "confloss: error: config line 3: key 'steps' is repeated\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("steps = 2\nmodes oa\n", "config line 2: expected 'key = value', got 'modes oa'"),
+        ("steps = 2\n# comment\nblock_size = four\n",
+         "config line 3: bad value for 'block_size': "
+         "invalid literal for int() with base 10: 'four'"),
+    ], ids=("no_equals", "bad_value"))
+    def test_bad_config_line_is_named(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["toytrain", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"confloss: error: {message}\n"
         assert not out.exists()
 
     def test_every_plain_field_has_a_key(self):

@@ -47,6 +47,16 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             BinaryMask(np.zeros((2, 2)))  # not boolean
 
+    @pytest.mark.parametrize("cls, arr", [
+        (Grid1, np.zeros(3)),
+        (Grid1, np.zeros((2, 2, 1))),
+        (BinaryMask, np.zeros(3, dtype=bool)),
+        (BinaryMask, np.zeros((2, 2, 2), dtype=bool)),
+    ])
+    def test_rejects_wrong_number_of_dimensions(self, cls, arr):
+        with pytest.raises(ValueError, match=rf"{cls.__name__} expects shape \(H, W\)"):
+            cls(arr)
+
     def test_data_is_immutable(self):
         g = Grid1.zeros(2, 2)
         with pytest.raises(ValueError):

@@ -22,6 +22,9 @@ from confloss.fileio import (
     write_pgm,
 )
 
+# Every FormatError.reason a reader may give.
+REASONS = {"truncated", "bad_magic", "bad_dimensions", "bad_header", "unsupported_format"}
+
 # float32-representable finite values, so round trips can be bit-exact
 f32 = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
 
@@ -168,8 +171,8 @@ class TestFlo:
     def test_fuzz_never_crashes(self, blob):
         try:
             read_flo(blob)
-        except FormatError:
-            pass
+        except FormatError as exc:
+            assert exc.reason in REASONS
 
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -236,6 +239,12 @@ class TestPfm:
             read_pfm(b"Pf\n1 1\n" + scale + b"\n" + b"\x00" * 4)
         assert err.value.reason == "bad_header"
 
+    @pytest.mark.parametrize("scale", [b"0", b"-0.0"])
+    def test_zero_scale_rejected(self, scale):
+        with pytest.raises(FormatError, match="PFM scale must be nonzero") as err:
+            read_pfm(b"Pf\n1 1\n" + scale + b"\n" + b"\x00" * 4)
+        assert err.value.reason == "bad_header"
+
     def test_truncation(self):
         blob = write_pfm(Grid1.zeros(4, 4))
         with pytest.raises(FormatError) as err:
@@ -293,8 +302,8 @@ class TestPfm:
     def test_fuzz_never_crashes(self, blob):
         try:
             read_pfm(blob)
-        except FormatError:
-            pass
+        except FormatError as exc:
+            assert exc.reason in REASONS
 
 
 class TestPgm:
@@ -359,8 +368,174 @@ class TestPgm:
     def test_mask_fuzz_never_crashes(self, blob):
         try:
             read_pgm_mask(blob)
-        except FormatError:
-            pass
+        except FormatError as exc:
+            assert exc.reason in REASONS
+
+    @pytest.mark.parametrize("dims", [b"0 2", b"2 -1"])
+    def test_nonpositive_dimensions(self, dims):
+        with pytest.raises(FormatError, match="nonpositive PGM dimensions") as err:
+            read_pgm_mask(b"P5\n" + dims + b"\n255\n" + b"\x00" * 4)
+        assert err.value.reason == "bad_dimensions"
+
+    @pytest.mark.parametrize("maxval", [0, 256])
+    def test_maxval_beyond_one_byte_rejected(self, maxval):
+        with pytest.raises(FormatError, match=f"PGM maxval {maxval} not in 1..255") as err:
+            read_pgm_mask(b"P5\n1 1\n%d\n\x00" % maxval)
+        assert err.value.reason == "unsupported_format"
+
+
+# The header readers as they stood when each parsed its own header with a
+# byte-by-byte token loop (frozen copies): the shared header parser must give
+# every input the same result, or the same error.
+
+def _frozen_next_token(data, pos):
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c == b"#":
+            while pos < n and data[pos:pos + 1] != b"\n":
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not data[pos:pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise FormatError("truncated", "header ended before all fields were read")
+    return data[start:pos], pos
+
+
+def _frozen_read_pfm(data):
+    try:
+        kind, pos = _frozen_next_token(data, 0)
+    except FormatError:
+        raise FormatError("bad_header", "empty PFM input") from None
+    if kind == b"PF":
+        raise FormatError("unsupported_format", "color PFM (PF) is not supported, only Pf")
+    if kind != b"Pf":
+        raise FormatError("bad_header", f"not a PFM header: {kind!r}")
+    wtok, pos = _frozen_next_token(data, pos)
+    htok, pos = _frozen_next_token(data, pos)
+    stok, pos = _frozen_next_token(data, pos)
+    try:
+        width, height = int(wtok), int(htok)
+        scale = float(stok)
+    except ValueError:
+        raise FormatError("bad_header",
+                          f"bad PFM dimension/scale fields {wtok!r} {htok!r} {stok!r}") from None
+    if width <= 0 or height <= 0:
+        raise FormatError("bad_dimensions", f"nonpositive PFM dimensions {width}x{height}")
+    if scale == 0:
+        raise FormatError("bad_header", "PFM scale must be nonzero")
+    if not np.isfinite(scale):
+        raise FormatError("bad_header", f"PFM scale must be finite, got {stok!r}")
+    pos += 1
+    endian = "<" if scale < 0 else ">"
+    n = height * width
+    avail = (len(data) - pos) // 4
+    if avail < n:
+        raise FormatError("truncated", f"PFM payload has {max(avail, 0)} floats, needs {n}")
+    payload = np.frombuffer(data, dtype=endian + "f4", offset=pos, count=n)
+    with np.errstate(invalid="ignore"):
+        grid = payload.reshape(height, width)[::-1].astype(np.float64)
+    finite = np.isfinite(grid)
+    if not finite.all():
+        np.copyto(grid, 0.0, where=~finite)
+    return Grid1._own(grid), BinaryMask._own(finite)
+
+
+def _frozen_read_pgm_mask(data):
+    kind, pos = _frozen_next_token(data, 0)
+    if kind != b"P5":
+        raise FormatError("bad_header", f"not a binary PGM header: {kind!r}")
+    wtok, pos = _frozen_next_token(data, pos)
+    htok, pos = _frozen_next_token(data, pos)
+    mtok, pos = _frozen_next_token(data, pos)
+    try:
+        width, height, maxval = int(wtok), int(htok), int(mtok)
+    except ValueError:
+        raise FormatError("bad_header", "bad PGM header fields") from None
+    if width <= 0 or height <= 0:
+        raise FormatError("bad_dimensions", f"nonpositive PGM dimensions {width}x{height}")
+    if not (0 < maxval < 256):
+        raise FormatError("unsupported_format", f"PGM maxval {maxval} not in 1..255")
+    pos += 1
+    n = height * width
+    if len(data) - pos < n:
+        raise FormatError("truncated", f"PGM payload has {len(data) - pos} bytes, needs {n}")
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=pos, count=n).reshape(height, width)
+    return BinaryMask._own(pixels >= (maxval + 1) // 2)
+
+
+def _outcome(read, blob):
+    """The arrays read from blob, or the error's reason and message. A header
+    that ends at the end of the input reported a payload of -1 bytes; the
+    count is compared as 0."""
+    try:
+        result = read(blob)
+    except FormatError as exc:
+        assert exc.reason in REASONS
+        return exc.reason, str(exc).replace("has -1 bytes", "has 0 bytes")
+    grids = result if isinstance(result, tuple) else (result,)
+    return [(type(g), g.data.dtype.str, g.data.shape, g.data.tobytes()) for g in grids]
+
+
+def _pieces(usual, odd):
+    """One of `usual` four times in five, else one of `odd`."""
+    return st.one_of(*[st.sampled_from(usual)] * 4, st.sampled_from(odd))
+
+
+_FIELD = _pieces((b"1", b"2", b"3"),
+                 (b"0", b"-2", b"+2", b"1_0", b"255", b"256", b"-1.0", b"-0.0", b"1e0", b"nan",
+                  b"inf", b"x", b"2#", b"2#c", b"#2", b"Pf", b""))
+_GAP = _pieces((b" ", b"\n", b"\t", b"\r\n", b"#c\n", b"# 1 2\n", b" #\n\n"),
+               (b"\x0b\x0c", b"#", b"#x", b"", b"\n#"))
+_END = _pieces((b"\n", b" ", b"\t"), (b"x", b"#", b"0", b"", b"\r\n"))
+
+
+@st.composite
+def netpbm_headers(draw, kind, third):
+    """Headers of `kind` built from field and separator pieces, the third
+    field mostly one of `third`, followed by a payload; some are cut short,
+    and some have one byte replaced."""
+    kinds = _pieces((kind,), (b"Pf", b"PF", b"P5", b"P6", b"Px", b"", b"#" + kind, kind + b"#"))
+    parts = [draw(_pieces((b"",), (b"\n", b"#c\n", b" #", b"#"))), draw(kinds)]
+    for field in (_FIELD, _FIELD, st.one_of(_pieces(third, (b"0",)), _FIELD)):
+        parts += [draw(_GAP), draw(field)]
+    payload = st.one_of(st.binary(min_size=36, max_size=40), st.binary(max_size=8))
+    blob = b"".join(parts) + draw(_END) + draw(payload)
+    edit = draw(st.sampled_from(("none", "none", "cut", "replace")))
+    if edit == "cut":
+        blob = blob[:draw(st.integers(0, len(blob)))]
+    elif edit == "replace" and blob:
+        at = draw(st.integers(0, len(blob) - 1))
+        byte = draw(st.sampled_from((b" ", b"\n", b"#", b"0", b"-", b"x", b"\x00")))
+        blob = blob[:at] + byte + blob[at + 1:]
+    return blob
+
+
+@pytest.mark.parametrize("read, frozen, headers", [
+    (read_pfm, _frozen_read_pfm, netpbm_headers(b"Pf", (b"-1.0", b"1.0", b"-2.5"))),
+    (read_pgm_mask, _frozen_read_pgm_mask, netpbm_headers(b"P5", (b"255", b"1", b"2"))),
+], ids=("pfm", "pgm"))
+@settings(max_examples=400)
+@given(data=st.data())
+def test_header_readers_agree_with_frozen_copies(read, frozen, headers, data):
+    blob = data.draw(headers)
+    assert _outcome(read, blob) == _outcome(frozen, blob)
+
+
+@pytest.mark.parametrize("blob", [
+    b"", b"  \n# only a comment", b"Pf", b"Pf\n2 1\n-1.0", b"P5\n2 1\n255", b"P5\n2 1 255 ",
+    b"Pf #c\n2 1 -1.0\n" + b"\x00" * 8, b"P5 2#c 1\n255 \x01\xff", b"P5\n#2 1\n1 2 255\n\x01",
+])
+@pytest.mark.parametrize("read, frozen", [(read_pfm, _frozen_read_pfm),
+                                          (read_pgm_mask, _frozen_read_pgm_mask)],
+                         ids=("pfm", "pgm"))
+def test_header_reader_edge_cases_agree_with_frozen_copies(read, frozen, blob):
+    assert _outcome(read, blob) == _outcome(frozen, blob)
 
 
 def _sample_report(**overrides):

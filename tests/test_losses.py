@@ -670,6 +670,12 @@ class TestSequenceLoss:
         w0, w1 = per_iter[0].weight_map.data[0, 0], per_iter[1].weight_map.data[0, 0]
         assert w0 > w1  # earlier prediction is worse, so it weighs more
 
+    @pytest.mark.parametrize("mode", [m for m in MODES if spec_for(m).needs_backward])
+    def test_cycle_mode_needs_backward_fields(self, mode):
+        pred = Grid2.zeros(1, 1)
+        with pytest.raises(ValueError, match=f"mode '{mode}' needs one backward field per"):
+            sequence_loss([pred], pred, BinaryMask.full(1, 1), spec_for(mode))
+
     def test_backward_list_length_checked(self):
         pred = Grid2.zeros(1, 1)
         with pytest.raises(ValueError):

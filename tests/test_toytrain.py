@@ -267,6 +267,8 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(recompute_confidence_every=0)
+        with pytest.raises(ValueError, match="snapshot_every must be >= 0"):
+            TrainConfig(snapshot_every=-1)
 
 
 # SHA-256 of a 12-step train run on a 32x32 scene (block 4): the forward loss
