@@ -243,11 +243,8 @@ def cmd_loss(args) -> int:
         valid = valid & pv
     _require_known(args.backward or (), valids[n:])
     backwards = grids[n:] if spec.needs_backward else None
-    try:
-        total, per_iter = sequence_loss(grids[:n], gt, valid, spec,
-                                        SequenceParams(args.gamma_seq), backwards)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    total, per_iter = sequence_loss(grids[:n], gt, valid, spec,
+                                    SequenceParams(args.gamma_seq), backwards)
     last = per_iter[-1]
     _write_outputs((args.out_loss_map, fileio.write_pfm, last.loss_map),
                    (args.out_weight_map, fileio.write_pfm, last.weight_map))
@@ -333,17 +330,14 @@ def cmd_toytrain(args) -> int:
         _, owner, name = _TOY_KEYS[key]
         given[owner][name] = value
 
-    try:
-        scene_spec = SceneSpec(**given[SceneSpec])
-        modes = cfg.get("modes", ("plain_l1", "db", "oa", "multiplication"))
-        cycle = CycleParams(**given[CycleParams])
-        specs = [WeightSpec(mode, cycle=cycle, **given[WeightSpec]) for mode in modes]
-        config = TrainConfig(**given[TrainConfig])
-        scenes = [synth_scene(replace(scene_spec, seed=s))
-                  for s in cfg.get("seeds", (scene_spec.seed,))]
-        rows = compare_runs(config, specs, scenes)
-    except (ValueError, TrainingDivergedError) as exc:
-        raise DataError(str(exc)) from exc
+    scene_spec = SceneSpec(**given[SceneSpec])
+    modes = cfg.get("modes", ("plain_l1", "db", "oa", "multiplication"))
+    cycle = CycleParams(**given[CycleParams])
+    specs = [WeightSpec(mode, cycle=cycle, **given[WeightSpec]) for mode in modes]
+    config = TrainConfig(**given[TrainConfig])
+    scenes = [synth_scene(replace(scene_spec, seed=s))
+              for s in cfg.get("seeds", (scene_spec.seed,))]
+    rows = compare_runs(config, specs, scenes)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -388,7 +382,7 @@ def main(argv=None) -> int:
             code, error = _COMMANDS[args.command](args), None
         except UsageError as exc:
             code, error = 2, exc
-        except (DataError, ValueError, OSError) as exc:
+        except (DataError, ValueError, OSError, TrainingDivergedError) as exc:
             code, error = 1, exc
     for w in caught:
         print(f"confloss: warning: {w.message}", file=sys.stderr)

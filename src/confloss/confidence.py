@@ -28,7 +28,7 @@ from .fields import (
     _channel_planes,
     _linear_rows,
     check_finite,
-    check_same_shape,
+    check_pair,
     warn_negative_disparity,
 )
 
@@ -129,7 +129,7 @@ def _db_rows(r, valid, out) -> None:
 
 
 def _confidence_db(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask) -> ConfidenceMap:
-    h, w = check_same_shape(pred, gt, valid)
+    h, w = check_pair(pred, gt, valid)
     return Grid1._own(_map_rows(lambda p, g, v, out: _db_rows(g - p, v, out),
                                 np.empty((h, w)), pred.data, gt.data, valid.data))
 
@@ -145,38 +145,35 @@ def confidence_db_stereo(pred: Grid1, gt: Grid1, valid: BinaryMask) -> Confidenc
 
 
 def _cycle_rows(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1, params: CycleParams):
-    """Check a pair as cycle_terms does; return its row kernel rows(r0, r1,
-    num=None, den=None) -> (num, den, target_valid) of rows r0 .. r1 - 1,
-    num and den written into the given arrays or into band-sized ones."""
-    if type(f_fw) is not type(f_bw):
-        raise ValueError("f_fw and f_bw must be the same grid type")
-    h, w = check_same_shape(f_fw, f_bw)
+    """Check a pair as cycle_terms does; return its row kernel rows(r0, r1)
+    -> cycle_terms' (num, den, target_valid) of rows r0 .. r1 - 1."""
+    h, w = check_pair(f_fw, f_bw, names="f_fw and f_bw")
     g1, g2 = params.gamma1, params.gamma2
     cols = np.arange(w, dtype=np.float64)
     if isinstance(f_fw, Grid2):
         f = f_fw.data
         planes = _channel_planes(f_bw.data)
 
-        def rows(r0, r1, num=None, den=None):
+        def rows(r0, r1):
             fu, fv = f[r0:r1, :, 0], f[r0:r1, :, 1]
             x = cols + fu
             y = np.arange(r0, r1, dtype=np.float64)[:, None] + fv
             (bu, bv), ok = _bilinear_points(planes, h, w, x.reshape(-1), y.reshape(-1))
             bu, bv = bu.reshape(x.shape), bv.reshape(x.shape)
             # Temporaries updated in place, each term's operations in the order
-            # of cycle_terms' formulas; num and den default to x and bu.
+            # of cycle_terms' formulas; num ends in x and den in bu.
             np.add(fu, bu, out=x)
             x *= x
             np.add(fv, bv, out=y)
             y *= y
-            num = np.add(x, y, out=x if num is None else num)
+            num = np.add(x, y, out=x)
             bu *= bu
             bv *= bv
             bu += bv
             np.multiply(fu, fu, out=y)
             np.multiply(fv, fv, out=bv)
             y += bv
-            den = np.add(y, bu, out=bu if den is None else den)
+            den = np.add(y, bu, out=bu)
             den *= g1
             den += g2
             return num, den, ok.reshape(x.shape)
@@ -186,13 +183,13 @@ def _cycle_rows(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1, params: CycleParams):
         d = f_fw.data
         plane = f_bw.data.reshape(-1)
 
-        def rows(r0, r1, num=None, den=None):
+        def rows(r0, r1):
             dd = d[r0:r1]
             b, ok = _linear_rows(plane, w, r0, cols - dd)
-            num = np.subtract(b, dd, out=num)
+            num = b - dd
             num *= num
             b *= b
-            den = np.multiply(dd, dd, out=den)
+            den = dd * dd
             den += b
             den *= g1
             den += g2
@@ -216,16 +213,16 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
     off-frame are reported in target_valid as False (the sampled value there
     is 0, so the terms are still finite).
     """
-    rows = _cycle_rows(f_fw, f_bw, params)
-    h, w = f_fw.shape
-    num, den = np.empty((h, w)), np.empty((h, w))
-    target_valid = np.empty((h, w), dtype=bool)
-
-    def band(r0, r1):
-        target_valid[r0:r1] = rows(r0, r1, num[r0:r1], den[r0:r1])[2]
-
-    _in_row_bands(band, h, w)
+    num, den = np.empty(f_fw.shape), np.empty(f_fw.shape)
+    target_valid = np.empty(f_fw.shape, dtype=bool)
+    _from_pair(_copy_rows, num, f_fw, f_bw, params, den, target_valid)
     return Grid1._own(num), Grid1._own(den), BinaryMask._own(target_valid)
+
+
+def _copy_rows(num, den, target_valid, *outs) -> None:
+    """Row kernel of cycle_terms: the band's terms into its rows of outs."""
+    for term, out in zip((num, den, target_valid), outs):
+        out[...] = term
 
 
 def _matched_rows(num, den, target_valid, out=None) -> np.ndarray:
@@ -244,11 +241,13 @@ def _oa_rows(num, den, target_valid, out) -> np.ndarray:
     return out
 
 
-def _from_pair(kernel, out: np.ndarray, f_fw, f_bw, params: CycleParams) -> np.ndarray:
-    """kernel(num, den, target_valid, rows of out) on each row band's cycle
-    terms, which stay band-sized; returns out."""
+def _from_pair(kernel, out: np.ndarray, f_fw, f_bw, params: CycleParams,
+               *more: np.ndarray) -> np.ndarray:
+    """kernel(num, den, target_valid, rows of out, rows of each of more) on
+    each row band's cycle terms, which stay band-sized; returns out."""
     rows = _cycle_rows(f_fw, f_bw, params)
-    _in_row_bands(lambda r0, r1: kernel(*rows(r0, r1), out[r0:r1]), *out.shape)
+    _in_row_bands(lambda r0, r1: kernel(*rows(r0, r1), *(a[r0:r1] for a in (out, *more))),
+                  *out.shape)
     return out
 
 

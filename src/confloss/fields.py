@@ -165,6 +165,13 @@ def check_same_shape(*grids) -> tuple[int, int]:
     return next(iter(shapes))
 
 
+def check_pair(a, b, *others, names: str = "pred and gt") -> tuple[int, int]:
+    """check_same_shape(a, b, *others) once a and b are of one grid type."""
+    if type(a) is not type(b):
+        raise ValueError(f"{names} must be the same grid type")
+    return check_same_shape(a, b, *others)
+
+
 # Points per chunk of the samplers and pixels per band of the cycle check:
 # each chunk's float64 temporaries are 256 KB, small enough to stay in cache
 # and be reused by the allocator, where frame-sized ones are page-faulted

@@ -9,6 +9,7 @@ representable in the formats' 32-bit floats.
 from __future__ import annotations
 
 import csv
+import re
 import struct
 
 import numpy as np
@@ -73,24 +74,29 @@ def write_flo(flow: Grid2) -> bytes:
     return header + _float32_bytes(flow.data)
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skips whitespace and '#' comment lines, returns (token, pos past token).
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise FormatError("truncated", "header ended before all fields were read")
-    return data[start:pos], pos
+# A header token after whitespace and '#' comments: a comment runs to the end
+# of its line (never backtracked into), and a '#' inside a token is part of it.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
+
+def _header(data: bytes, kind: re.Match | None, name: str, third, bad_fields: str):
+    """Width, height and third field (parsed by `third`) of a PFM/PGM header
+    after its kind token (None: the input has none, so it is truncated). A
+    field that does not parse gives bad_fields, formatted with the 3 tokens.
+    Returns (width, height, third value, third token, payload offset)."""
+    tokens, match = [], kind
+    for _ in range(3):
+        match = match and _TOKEN.match(data, match.end())
+        if match is None:
+            raise FormatError("truncated", "header ended before all fields were read")
+        tokens.append(match[1])
+    try:
+        width, height, value = int(tokens[0]), int(tokens[1]), third(tokens[2])
+    except ValueError:
+        raise FormatError("bad_header", bad_fields.format(*tokens)) from None
+    if width <= 0 or height <= 0:
+        raise FormatError("bad_dimensions", f"nonpositive {name} dimensions {width}x{height}")
+    return width, height, value, tokens[2], match.end() + 1  # one whitespace byte ends it
 
 
 def read_pfm(data: bytes):
@@ -101,30 +107,19 @@ def read_pfm(data: bytes):
     Returns (grid, valid) with non-finite samples mapped to 0 / invalid,
     mirroring read_flo.
     """
-    try:
-        kind, pos = _next_token(data, 0)
-    except FormatError:
-        raise FormatError("bad_header", "empty PFM input") from None
-    if kind == b"PF":
+    kind = _TOKEN.match(data)
+    if kind is None:
+        raise FormatError("bad_header", "empty PFM input")
+    if kind[1] == b"PF":
         raise FormatError("unsupported_format", "color PFM (PF) is not supported, only Pf")
-    if kind != b"Pf":
-        raise FormatError("bad_header", f"not a PFM header: {kind!r}")
-    wtok, pos = _next_token(data, pos)
-    htok, pos = _next_token(data, pos)
-    stok, pos = _next_token(data, pos)
-    try:
-        width, height = int(wtok), int(htok)
-        scale = float(stok)
-    except ValueError:
-        raise FormatError("bad_header",
-                          f"bad PFM dimension/scale fields {wtok!r} {htok!r} {stok!r}") from None
-    if width <= 0 or height <= 0:
-        raise FormatError("bad_dimensions", f"nonpositive PFM dimensions {width}x{height}")
+    if kind[1] != b"Pf":
+        raise FormatError("bad_header", f"not a PFM header: {kind[1]!r}")
+    width, height, scale, stok, pos = _header(data, kind, "PFM", float,
+                                              "bad PFM dimension/scale fields {!r} {!r} {!r}")
     if scale == 0:
         raise FormatError("bad_header", "PFM scale must be nonzero")
     if not np.isfinite(scale):
         raise FormatError("bad_header", f"PFM scale must be finite, got {stok!r}")
-    pos += 1  # exactly one whitespace byte separates the header from the data
     endian = "<" if scale < 0 else ">"
     n = height * width
     avail = (len(data) - pos) // 4
@@ -163,24 +158,15 @@ def write_pgm(m: Grid1 | BinaryMask) -> bytes:
 
 def read_pgm_mask(data: bytes) -> BinaryMask:
     """Parse a binary PGM into a mask: samples >= half the maxval are True."""
-    kind, pos = _next_token(data, 0)
-    if kind != b"P5":
-        raise FormatError("bad_header", f"not a binary PGM header: {kind!r}")
-    wtok, pos = _next_token(data, pos)
-    htok, pos = _next_token(data, pos)
-    mtok, pos = _next_token(data, pos)
-    try:
-        width, height, maxval = int(wtok), int(htok), int(mtok)
-    except ValueError:
-        raise FormatError("bad_header", "bad PGM header fields") from None
-    if width <= 0 or height <= 0:
-        raise FormatError("bad_dimensions", f"nonpositive PGM dimensions {width}x{height}")
+    kind = _TOKEN.match(data)
+    if kind is not None and kind[1] != b"P5":
+        raise FormatError("bad_header", f"not a binary PGM header: {kind[1]!r}")
+    width, height, maxval, _, pos = _header(data, kind, "PGM", int, "bad PGM header fields")
     if not (0 < maxval < 256):
         raise FormatError("unsupported_format", f"PGM maxval {maxval} not in 1..255")
-    pos += 1
-    n = height * width
-    if len(data) - pos < n:
-        raise FormatError("truncated", f"PGM payload has {len(data) - pos} bytes, needs {n}")
+    n, avail = height * width, len(data) - pos
+    if avail < n:
+        raise FormatError("truncated", f"PGM payload has {max(avail, 0)} bytes, needs {n}")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=pos, count=n).reshape(height, width)
     return BinaryMask._own(pixels >= (maxval + 1) // 2)
 

@@ -38,7 +38,8 @@ from .confidence import (
     _matched_rows,
     _oa_rows,
 )
-from .fields import BinaryMask, ConfidenceMap, Grid1, Grid2, check_finite, check_same_shape
+from .fields import (BinaryMask, ConfidenceMap, Grid1, Grid2, check_finite, check_pair,
+                     check_same_shape)
 
 PLAIN_L1 = "plain_l1"
 DB = "db"
@@ -184,9 +185,7 @@ def weight_combine(m_db: ConfidenceMap | None, m_oa: ConfidenceMap | None,
 def _check_loss_inputs(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
                        *maps: Grid1) -> int:
     """Check the inputs of a weighted L1 loss; returns the valid-pixel count."""
-    if type(pred) is not type(gt):
-        raise ValueError("pred and gt must be the same grid type")
-    check_same_shape(pred, gt, valid, *maps)
+    check_pair(pred, gt, valid, *maps)
     n_valid = valid.count()
     if n_valid == 0:
         raise ValueError("no valid pixels: the mean loss is undefined")
@@ -245,7 +244,7 @@ def _weights_and_loss(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
     loss_map and weighted_l1_grad's (C, H, W) planes into grad, each if given,
     in one pass over row bands. Each band computes gt - pred once; the cycle
     terms, M_oa and H stay band-sized."""
-    h, w = check_same_shape(pred, gt, valid)
+    h, w = check_pair(pred, gt, valid)
     uses = set() if keep_weights else _FACTORS[spec.mode]
     check = spec.needs_backward and not keep_weights
     with_residual = "db" in uses or loss_map is not None or grad is not None

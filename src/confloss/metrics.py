@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BinaryMask, Grid1, Grid2, check_same_shape
+from .fields import BinaryMask, Grid1, Grid2, check_pair, check_same_shape
 
 OUTLIER_THRESHOLDS = (1.0, 3.0, 5.0)
 BAD_P_THRESHOLDS = (0.5, 1.0, 2.0, 3.0)
@@ -41,9 +41,7 @@ def epe_map(pred: Grid2 | Grid1, gt: Grid2 | Grid1) -> Grid1:
 
     For scalar grids this is the absolute disparity error.
     """
-    if type(pred) is not type(gt):
-        raise ValueError("pred and gt must be the same grid type")
-    check_same_shape(pred, gt)
+    check_pair(pred, gt)
     if isinstance(pred, Grid2):
         d = pred.data - gt.data
         return Grid1._own(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))

@@ -21,7 +21,9 @@ from confloss import (
     confidence_db_flow,
     confidence_db_stereo,
     confidence_oa,
+    epe_map,
     evaluate_loss,
+    full_report,
     occlusion_mask,
     sequence_loss,
     weight_combine,
@@ -365,6 +367,38 @@ def test_build_weights_matches_oracles(mode, task, monkeypatch):
 def test_build_weights_rejects_mixed_pair(mode, pred, backward):
     with pytest.raises(ValueError, match="same grid type"):
         build_weights(spec_for(mode), pred, pred, BinaryMask.full(3, 3), backward=backward)
+
+
+# Every public function of a prediction and a ground truth, called on (pred, gt).
+PRED_GT_FUNCTIONS = {
+    "confidence_db_flow": lambda p, g: confidence_db_flow(p, g, BinaryMask.full(*g.shape)),
+    "confidence_db_stereo": lambda p, g: confidence_db_stereo(p, g, BinaryMask.full(*g.shape)),
+    "build_weights_db": lambda p, g: build_weights(spec_for("db"), p, g,
+                                                   BinaryMask.full(*g.shape)),
+    "build_weights_mask_sum": lambda p, g: build_weights(spec_for("mask_sum"), p, g,
+                                                         BinaryMask.full(*g.shape), backward=p),
+    "evaluate_loss": lambda p, g: evaluate_loss(p, g, BinaryMask.full(*g.shape),
+                                                spec_for("db")),
+    "weighted_l1": lambda p, g: weighted_l1(p, g, Grid1.full(*g.shape, 1.0),
+                                            BinaryMask.full(*g.shape)),
+    "weighted_l1_grad": lambda p, g: weighted_l1_grad(p, g, Grid1.full(*g.shape, 1.0),
+                                                      BinaryMask.full(*g.shape)),
+    "sequence_loss": lambda p, g: sequence_loss([p], g, BinaryMask.full(*g.shape),
+                                                spec_for("db")),
+    "epe_map": epe_map,
+    "full_report": lambda p, g: full_report(p, g, BinaryMask.full(*g.shape)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRED_GT_FUNCTIONS))
+@pytest.mark.parametrize("h, w", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("pred_type, gt_type", [(Grid1, Grid2), (Grid2, Grid1)])
+def test_pred_and_gt_of_two_grid_types_rejected(name, h, w, pred_type, gt_type):
+    # A (H, W) grid broadcasts against (H, W, 2) when W is 2, so only the
+    # type check tells the two apart.
+    grids = {Grid1: Grid1(np.ones((h, w))), Grid2: Grid2(np.zeros((h, w, 2)))}
+    with pytest.raises(ValueError, match="^pred and gt must be the same grid type$"):
+        PRED_GT_FUNCTIONS[name](grids[pred_type], grids[gt_type])
 
 
 def _frozen_evaluate_loss(spec, pred, gt, valid, backward):
