@@ -22,7 +22,9 @@ FLO_SENTINEL = 1e9  # components at or beyond this magnitude mark unknown flow
 
 
 class FormatError(ValueError):
-    """Malformed file content. .reason is a stable machine-readable code."""
+    """Malformed file content. .reason is a stable machine-readable code, one
+    of "truncated", "bad_magic", "bad_dimensions", "bad_header" and
+    "unsupported_format"."""
 
     def __init__(self, reason: str, message: str):
         super().__init__(message)

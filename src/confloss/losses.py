@@ -1,6 +1,6 @@
 """Confidence-weighted L1 losses (weighted_l1), their analytic gradient
-(weighted_l1_grad, which only training needs), and the discounted
-accumulation over refinement iterations.
+(weighted_l1_grad), and the discounted accumulation over refinement
+iterations.
 
 Seven weighting modes are supported:
 
