@@ -60,6 +60,12 @@ class _Grid:
         object.__setattr__(grid, "data", arr)
         return grid
 
+    def __reduce__(self):
+        # Pickled in memory order: the unpickled grid has the same strides, so
+        # a reduction over it gives the same bits, and it is read-only.
+        axes = np.argsort(self.data.strides, kind="stable")[::-1]
+        return _unpickle_grid, (type(self), self.data.transpose(axes), np.argsort(axes).tolist())
+
     def _store(self, arr: np.ndarray) -> None:
         """Check arr's dimensions (and finiteness, if float) and keep a read-only copy."""
         name = type(self).__name__
@@ -84,6 +90,10 @@ class _Grid:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape[:2]
+
+
+def _unpickle_grid(cls, arr: np.ndarray, axes: list[int]) -> _Grid:
+    return cls._own(arr.transpose(axes))
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,6 +81,18 @@ def write_flo(flow: Grid2) -> bytes:
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
 
 
+# The largest image side a header may give (the int32 bound of .flo headers),
+# so that a side, or the sample count, prints in a short error message.
+_MAX_SIDE = 2**31 - 1
+
+
+def _shown(field) -> str:
+    """A header field for an error message: a token's repr or a number, cut
+    to its first 40 characters and its length when over 200."""
+    text = repr(field) if isinstance(field, bytes) else str(field)
+    return text if len(text) <= 200 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _header(data: bytes, kind: re.Match | None, name: str, third, bad_fields: str):
     """Width, height and third field (parsed by `third`) of a PFM/PGM header
     after its kind token (None: the input has none, so it is truncated). A
@@ -95,9 +107,11 @@ def _header(data: bytes, kind: re.Match | None, name: str, third, bad_fields: st
     try:
         width, height, value = int(tokens[0]), int(tokens[1]), third(tokens[2])
     except ValueError:
-        raise FormatError("bad_header", bad_fields.format(*tokens)) from None
-    if width <= 0 or height <= 0:
-        raise FormatError("bad_dimensions", f"nonpositive {name} dimensions {width}x{height}")
+        raise FormatError("bad_header", bad_fields.format(*map(_shown, tokens))) from None
+    if width <= 0 or height <= 0 or max(width, height) > _MAX_SIDE:
+        dims = f"{name} dimensions {_shown(width)}x{_shown(height)}"
+        raise FormatError("bad_dimensions", f"nonpositive {dims}" if min(width, height) <= 0
+                          else f"{dims} exceed {_MAX_SIDE}")
     return width, height, value, tokens[2], match.end() + 1  # one whitespace byte ends it
 
 
@@ -117,11 +131,11 @@ def read_pfm(data: bytes):
     if kind[1] != b"Pf":
         raise FormatError("bad_header", f"not a PFM header: {kind[1]!r}")
     width, height, scale, stok, pos = _header(data, kind, "PFM", float,
-                                              "bad PFM dimension/scale fields {!r} {!r} {!r}")
+                                              "bad PFM dimension/scale fields {} {} {}")
     if scale == 0:
         raise FormatError("bad_header", "PFM scale must be nonzero")
     if not np.isfinite(scale):
-        raise FormatError("bad_header", f"PFM scale must be finite, got {stok!r}")
+        raise FormatError("bad_header", f"PFM scale must be finite, got {_shown(stok)}")
     endian = "<" if scale < 0 else ">"
     n = height * width
     avail = (len(data) - pos) // 4
@@ -165,7 +179,7 @@ def read_pgm_mask(data: bytes) -> BinaryMask:
         raise FormatError("bad_header", f"not a binary PGM header: {kind[1]!r}")
     width, height, maxval, _, pos = _header(data, kind, "PGM", int, "bad PGM header fields")
     if not (0 < maxval < 256):
-        raise FormatError("unsupported_format", f"PGM maxval {maxval} not in 1..255")
+        raise FormatError("unsupported_format", f"PGM maxval {_shown(maxval)} not in 1..255")
     n, avail = height * width, len(data) - pos
     if avail < n:
         raise FormatError("truncated", f"PGM payload has {max(avail, 0)} bytes, needs {n}")

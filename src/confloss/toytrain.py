@@ -10,12 +10,17 @@ against the clean ground truth split by the analytic occlusion mask.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
+from . import confidence
 from .confidence import confidence_db_flow, confidence_oa
 from .fields import BinaryMask, Grid1, Grid2, check_finite
 from .losses import WeightSpec, _weights_and_loss
@@ -26,6 +31,10 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, what: str):
         super().__init__(f"training diverged at step {step}: {what}")
         self.step = step
+        self.what = what
+
+    def __reduce__(self):  # unpickling calls __init__ with these arguments
+        return type(self), (self.step, self.what)
 
 
 @contextmanager
@@ -303,22 +312,105 @@ def _mean_or_none(values):
     return None if any(v is None for v in values) else float(np.mean(values))
 
 
+def _train_stripe(jobs, stripe) -> list:
+    """(index, TrainReport or the exception raised, warnings caught) for each
+    (scene, config) job of `stripe`, stopping after the first that raises."""
+    out = []
+    with warnings.catch_warnings(record=True) as caught:
+        for i in stripe:
+            try:
+                result = train(*jobs[i])
+            except Exception as exc:
+                result = exc
+            out.append((i, result, [(w.message, w.category, w.filename, w.lineno)
+                                    for w in caught]))
+            caught.clear()
+            if isinstance(result, Exception):
+                break
+    return out
+
+
+def _train_all(jobs) -> list[TrainReport]:
+    """train(scene, config) for each (scene, config) job, with what a serial
+    loop gives: the same reports in job order, the first failing job's
+    exception, and the warnings of the jobs up to it, in job order.
+
+    Job i runs in stripe i % n, with one stripe per CPU, or one stripe where
+    os.fork is missing or another thread runs (a forked child would inherit
+    the locks it holds). The caller runs stripe 0. Each other stripe runs in a
+    forked child, which pickles its results to a pipe and leaves through
+    os._exit; every child is reaped before this returns or raises.
+    """
+    n = min(confidence._WORKERS, len(jobs))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        n = 1
+    pids, reads = [], []
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns of any OS thread, a BLAS pool's too.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:
+                try:
+                    for fd in reads:
+                        os.close(fd)
+                    data = pickle.dumps(_train_stripe(jobs, range(k, len(jobs), n)))
+                    with open(w, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            pids.append(pid)
+        outcomes = _train_stripe(jobs, range(0, len(jobs), n))
+        for r in reads:
+            with open(r, "rb", closefd=False) as fh:
+                try:
+                    outcomes += pickle.load(fh)  # grids unpickle read-only
+                except EOFError:
+                    raise RuntimeError("a training worker exited without its results") from None
+    finally:
+        # Closed before the children are reaped: one blocked on a full pipe
+        # then fails its write and exits.
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    reports, registry = [], {}
+    for _, result, caught in sorted(outcomes, key=lambda outcome: outcome[0]):
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        if isinstance(result, Exception):
+            raise result
+        reports.append(result)
+    return reports
+
+
 def compare_runs(config: TrainConfig, specs: Sequence[WeightSpec],
                  scenes: Sequence[Scene]) -> list[ComparisonRow]:
     """Train one model per (loss spec, scene) pair under `config` with that
     loss spec, and average the metrics per spec.
 
     Each scene carries its seed in scene.spec.seed (generated by the caller,
-    typically with synth_scene(replace(scene_spec, seed=seed))).
+    typically with synth_scene(replace(scene_spec, seed=seed))). The runs are
+    shared among one process per CPU (see _train_all), with the results,
+    exceptions and warnings of running them one after another.
     """
     if not specs:
         raise ValueError("no loss specs to compare")
     if not scenes:
         raise ValueError("no scenes to train on")
+    configs = [replace(config, loss_spec=spec) for spec in specs]
+    done = _train_all([(scene, cfg) for cfg in configs for scene in scenes])
     rows = []
-    for spec in specs:
-        cfg = replace(config, loss_spec=spec)
-        reports = [train(scene, cfg) for scene in scenes]
+    for k, spec in enumerate(specs):
+        reports = done[k * len(scenes):(k + 1) * len(scenes)]
         rows.append(ComparisonRow(
             mode=spec.mode,
             epe=_mean_or_none([r.report.epe for r in reports]),

@@ -24,6 +24,7 @@ from confloss import (
     TrainConfig,
     WeightSpec,
     build_weights,
+    compare_runs,
     confidence_db_flow,
     confidence_db_stereo,
     confidence_oa,
@@ -34,7 +35,6 @@ from confloss import (
     reverse_disparity_restore,
     sequence_loss,
     synth_scene,
-    train,
     weight_db,
     weighted_l1,
     weighted_l1_grad,
@@ -314,8 +314,9 @@ def test_criterion_6_occlusion_agreement():
 @pytest.fixture(scope="module")
 def toy_runs():
     """The toy runs of criteria 7 and 9: 500 steps on the default scene of
-    seeds 0-9, per loss mode. Each mode is trained once per module, when first
-    asked for, so criterion 9 reuses the plain_l1 runs that criterion 7 times."""
+    seeds 0-9, per loss mode, through compare_runs (one process per CPU).
+    Each mode is trained once per module, when first asked for, so criterion
+    9 reuses the plain_l1 runs that criterion 7 times."""
     @functools.cache
     def scenes():
         return [synth_scene(SceneSpec(seed=s)) for s in range(10)]
@@ -324,7 +325,8 @@ def toy_runs():
     def run(mode):
         cfg = TrainConfig(steps=500, learning_rate=0.05,
                           loss_spec=WeightSpec(mode))
-        return [train(scene, cfg) for scene in scenes()]
+        [row] = compare_runs(cfg, [cfg.loss_spec], scenes())
+        return list(row.per_seed)
 
     return run
 

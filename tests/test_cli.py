@@ -431,6 +431,22 @@ class TestEval:
         assert "bad.flo" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("option, name, blob", [
+        ("--valid", "big.pgm", b"P5\n" + b"1" * 2200 + b" " + b"2" * 2200 + b"\n255\n\x00"),
+        ("--pred", "big.pfm", b"Pf\n-" + b"9" * 4300 + b" 2\n-1.0\n"),
+    ], ids=["pgm", "pfm"])
+    def test_huge_header_numbers_name_the_file(self, tmp_path, capsys, option, name, blob):
+        ok = pfm(tmp_path / "ok.pfm", np.zeros((2, 2), dtype=np.float32))
+        bad = tmp_path / name
+        bad.write_bytes(blob)
+        args = {"--pred": ok, "--gt": ok, option: str(bad)}
+        argv = ["eval", "--task", "stereo"] + [x for kv in args.items() for x in kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"confloss: error: {bad}: ") and "dimensions" in err
+        assert len(err) < 300
+
+
 class TestReverseDisparity:
     def test_round_trip_identity(self, tmp_path, rng):
         arr = rng.uniform(0, 5, (3, 4)).astype(np.float32)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -73,6 +75,19 @@ class TestGridConstruction:
         before = g.data.copy()
         arr[0, 0] = ~arr[0, 0] if arr.dtype == bool else -7.0
         np.testing.assert_array_equal(g.data, before)
+
+    @pytest.mark.parametrize("grid", [
+        Grid2._own(np.moveaxis(np.arange(24.0).reshape(2, 3, 4), 0, -1)),  # train's layout
+        Grid2(np.arange(24.0).reshape(3, 4, 2)),
+        Grid1(np.arange(6.0).reshape(2, 3)),
+        BinaryMask(np.array([[True, False, True], [False, True, False]])),
+    ])
+    def test_unpickles_read_only_with_the_same_strides(self, grid):
+        back = pickle.loads(pickle.dumps(grid))
+        assert type(back) is type(grid)
+        assert back.data.dtype == grid.data.dtype and back.data.strides == grid.data.strides
+        np.testing.assert_array_equal(back.data, grid.data)
+        assert not back.data.flags.writeable
 
     def test_mask_and_rejects_mismatched_shapes(self):
         # Broadcasting would turn (4, 1) & (1, 3) into a (4, 3) mask.

@@ -384,6 +384,23 @@ class TestPgm:
         assert err.value.reason == "unsupported_format"
 
 
+@pytest.mark.parametrize("read, blob, reason", [
+    (read_pgm_mask, b"P5\n" + b"1" * 2200 + b" " + b"2" * 2200 + b"\n255\n\x00",
+     "bad_dimensions"),
+    (read_pfm, b"Pf\n-" + b"9" * 4300 + b" 2\n-1.0\n", "bad_dimensions"),
+    (read_pfm, b"Pf\n" + b"9" * 5000 + b" 2\n-1.0\n", "bad_header"),
+    (read_pgm_mask, b"P5\n2147483648 1\n255\n\x00", "bad_dimensions"),
+], ids=["pgm-2200-digit-sides", "pfm-4300-digit-negative-width", "pfm-5000-digit-width",
+        "pgm-side-over-int32"])
+def test_huge_header_numbers_give_short_format_errors(read, blob, reason):
+    # Formatting a sample count of over 4300 digits would trip Python's
+    # int-to-str limit; a field with thousands of digits is cut short.
+    with pytest.raises(FormatError) as err:
+        read(blob)
+    assert err.value.reason == reason
+    assert len(str(err.value)) < 200
+
+
 # The header readers as they stood when each parsed its own header with a
 # byte-by-byte token loop (frozen copies): the shared header parser must give
 # every input the same result, or the same error.

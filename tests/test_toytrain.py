@@ -1,5 +1,13 @@
 import dataclasses
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +15,7 @@ import pytest
 import oracles
 from confloss import confidence as confidence_module
 from confloss import losses as losses_module
+from confloss import toytrain as toytrain_module
 from confloss import (
     MODES,
     BinaryMask,
@@ -350,3 +359,138 @@ class TestCompareRuns:
         rows = compare_runs(quick_config(steps=10),
                             [WeightSpec("plain_l1"), WeightSpec("multiplication")], [scene])
         assert [r.mode for r in rows] == ["plain_l1", "multiplication"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def diverging_on(seeds, real=train):
+    """train, except that the scenes of `seeds` run at a learning rate that
+    overflows, as in test_divergence_is_reported_with_step."""
+    def run(scene, cfg):
+        if scene.spec.seed in seeds:
+            cfg = dataclasses.replace(cfg, learning_rate=1e308)
+        return real(scene, cfg)
+    return run
+
+
+def small_scene(seed):
+    return synth_scene(SceneSpec(height=32, width=32, square_size=16,
+                                 square_motion=(4.0, 0.0), seed=seed))
+
+
+class TestRunsInWorkers:
+    """compare_runs shares its runs among forked workers, one per CPU, and
+    returns, raises and warns exactly as one run after another does."""
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_same_results_as_serial_runs(self, workers, monkeypatch):
+        config = TrainConfig(steps=12, block_size=4, snapshot_every=5,
+                             recompute_confidence_every=2)
+        specs = [WeightSpec(mode) for mode in MODES]
+        scenes = [small_scene(seed) for seed in range(3)]
+        monkeypatch.setattr(confidence_module, "_WORKERS", workers)
+        rows = compare_runs(config, specs, scenes)
+        assert_no_child_left()
+        for spec, row in zip(specs, rows):
+            cfg = dataclasses.replace(config, loss_spec=spec)
+            assert row.mode == spec.mode and row.n_seeds == 3
+            for scene, got in zip(scenes, row.per_seed):
+                want = train(scene, cfg)
+                assert got.mode == want.mode and got.report == want.report
+                assert got.loss_history == want.loss_history
+                pairs = [(got.final_forward, want.final_forward),
+                         (got.final_backward, want.final_backward)]
+                assert [s[0] for s in got.snapshots] == [s[0] for s in want.snapshots]
+                for (_, *maps), (_, *twins) in zip(got.snapshots, want.snapshots):
+                    pairs += zip(maps, twins)
+                for g, w in pairs:
+                    assert type(g) is type(w) and g.data.strides == w.data.strides
+                    assert g.data.tobytes() == w.data.tobytes()
+                    assert not g.data.flags.writeable
+
+    def test_divergence_in_a_workers_stripe_raises_the_serial_error(self, monkeypatch):
+        # Jobs 1 (a worker's) and 2 (the caller's) diverge; job 1's error wins.
+        scenes = [small_scene(seed) for seed in range(4)]
+        config = quick_config(steps=5, block_size=4)
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as serial:
+            diverging_on({1})(scenes[1], config)
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        monkeypatch.setattr(toytrain_module, "train", diverging_on({1, 2}))
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
+            compare_runs(config, [WeightSpec()], scenes)
+        assert_no_child_left()
+        assert err.value.step == serial.value.step
+        assert str(err.value) == str(serial.value)
+
+    def test_divergence_in_the_callers_stripe_with_a_full_pipe_returns(self):
+        # The worker's one 64x64 report (two 64 KB predictions and snapshots)
+        # overfills a pipe while the caller's job fails at once, both as a
+        # training error and as an interrupt that no stripe catches.
+        code = textwrap.dedent("""
+            import os, sys
+            sys.path.insert(0, sys.argv[1])
+            from confloss import confidence, toytrain
+            from confloss.toytrain import *
+            from confloss import WeightSpec
+            confidence._WORKERS = 2
+            real = toytrain.train
+            for error in (TrainingDivergedError(0, "caller"), KeyboardInterrupt()):
+                def run(scene, cfg, error=error):
+                    if scene.spec.seed == 0:
+                        raise error
+                    return real(scene, cfg)
+                toytrain.train = run
+                scenes = [synth_scene(SceneSpec(seed=s)) for s in (0, 1)]
+                try:
+                    compare_runs(TrainConfig(steps=2, snapshot_every=1), [WeightSpec()], scenes)
+                except BaseException as exc:
+                    print(type(exc).__name__)
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    print("no child left")
+        """)
+        src = str(Path(toytrain_module.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split("\n") == ["TrainingDivergedError", "no child left",
+                                   "KeyboardInterrupt", "no child left", ""]
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called with a second thread alive")
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            rows = compare_runs(quick_config(steps=3), [WeightSpec()],
+                                [synth_scene(SceneSpec(seed=s)) for s in (0, 1)])
+        finally:
+            done.set()
+            other.join(timeout=60)
+        assert not other.is_alive() and rows[0].n_seeds == 2
+
+    def test_warnings_reach_the_caller_in_job_order(self, monkeypatch):
+        def warning_train(scene, cfg, real=train):
+            warnings.warn(f"job of seed {scene.spec.seed}", UserWarning)
+            return real(scene, cfg)
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        monkeypatch.setattr(toytrain_module, "train", warning_train)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compare_runs(quick_config(steps=2, block_size=4), [WeightSpec()],
+                         [small_scene(seed) for seed in range(3)])
+        assert_no_child_left()
+        assert [str(w.message) for w in caught] == [f"job of seed {s}" for s in range(3)]
+        assert {w.category for w in caught} == {UserWarning}
+
+
+def test_divergence_error_pickles():
+    err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "prediction is not finite")))
+    assert type(err) is TrainingDivergedError and err.step == 7
+    assert str(err) == "training diverged at step 7: prediction is not finite"
