@@ -5,8 +5,13 @@ disparity_to_flow; they stay because the benchmark's per-layer tracer
 (bench/tracing.py, LAYERS) wraps them by name.
 
 All grids are row-major with (row y, column x) indexing, x horizontal.
-Values are immutable after construction, so they are safe to share across
-threads.
+A Grid2 has one memory layout, channel-first: its .data is an (H, W, 2) view
+of (2, H, W) memory, so u and v are each one contiguous plane, and every
+library function that makes a Grid2 writes that layout (Grid2._empty). Its
+.data is therefore not C-contiguous; tobytes() gives the bytes of the
+(H, W, 2) array, and an unpickled grid keeps its layout. Grid1 and BinaryMask
+data is C-contiguous. Values are immutable after construction, so they are
+safe to share across threads.
 
 Validation happens at the boundary. The public constructors (Grid2(...),
 Grid1(...), BinaryMask(...) and their zeros/full/constant helpers) copy the
@@ -66,16 +71,21 @@ class _Grid:
         axes = np.argsort(self.data.strides, kind="stable")[::-1]
         return _unpickle_grid, (type(self), self.data.transpose(axes), np.argsort(axes).tolist())
 
+    @classmethod
+    def _empty(cls, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A fresh array of the given data shape in the type's memory layout."""
+        return np.empty(shape, dtype)
+
     def _store(self, arr: np.ndarray) -> None:
-        """Check arr's dimensions (and finiteness, if float) and keep a read-only copy."""
+        """Check arr's dimensions (and finiteness, if float) and keep a
+        read-only copy in the type's layout."""
         name = type(self).__name__
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"{name} dimensions must be positive, got {arr.shape}")
         if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} rejects NaN/Inf entries")
-        out = np.ascontiguousarray(arr)
-        if out is arr:
-            out = arr.copy()
+        out = self._empty(arr.shape, arr.dtype)
+        np.copyto(out, arr)
         out.setflags(write=False)
         object.__setattr__(self, "data", out)
 
@@ -98,7 +108,12 @@ def _unpickle_grid(cls, arr: np.ndarray, axes: list[int]) -> _Grid:
 
 @dataclass(frozen=True, eq=False)
 class Grid2(_Grid):
-    """H x W grid of 2-vectors (u, v), in pixels. Stored as (H, W, 2) float64."""
+    """H x W grid of 2-vectors (u, v), in pixels: .data is an (H, W, 2)
+    float64 view of channel-first (2, H, W) memory."""
+
+    @classmethod
+    def _empty(cls, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        return np.moveaxis(np.empty((2, *shape[:2]), dtype), 0, -1)
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -158,7 +173,7 @@ class BinaryMask(_Grid):
         return cls(np.full((height, width), bool(value), dtype=bool))
 
     def count(self) -> int:
-        return int(self.data.sum())
+        return int(np.count_nonzero(self.data))
 
     def __invert__(self) -> "BinaryMask":
         return BinaryMask._own(~self.data)
@@ -191,7 +206,8 @@ _CHUNK = 32768
 
 def _channel_planes(data: np.ndarray) -> np.ndarray:
     """One contiguous 1-D plane per channel of (H, W[, C]) data: `take` on a
-    strided view would copy the whole plane on every call."""
+    strided view would copy the whole plane on every call. A view for grid
+    data, which is channel-first; only a caller's channel-last array is copied."""
     h, w = data.shape[:2]
     return np.ascontiguousarray(data.reshape(h * w, -1).T)
 
@@ -292,15 +308,16 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     shape = xs.shape
     xs, ys = xs.reshape(-1), ys.reshape(-1)
     planes = _channel_planes(data)
-    values = np.empty((xs.size, len(planes)))
+    values = np.empty((len(planes), xs.size))  # channel-first, as Grid2 stores it
     inb = np.empty(xs.size, dtype=bool)
     for start in range(0, xs.size, _CHUNK):
         end = start + _CHUNK
         samples, ok = _bilinear_points(planes, h, w, xs[start:end], ys[start:end])
         for c, s in enumerate(samples):
-            values[start:end, c] = s
+            values[c, start:end] = s
         inb[start:end] = ok
-    return values.reshape(shape + data.shape[2:]), inb.reshape(shape)
+    values = values.reshape((len(planes),) + shape)
+    return (np.moveaxis(values, 0, -1) if data.ndim == 3 else values[0]), inb.reshape(shape)
 
 
 def backward_warp(field: Grid2 | Grid1, flow: Grid2):
@@ -320,7 +337,7 @@ def backward_warp(field: Grid2 | Grid1, flow: Grid2):
 def hflip(field: Grid2 | Grid1 | BinaryMask):
     """Mirror columns (j -> width-1-j). No sign change on Grid2 components;
     sign handling for reverse disparities lives in reverse_disparity_restore."""
-    return type(field)._own(field.data[:, ::-1].copy())
+    return type(field)._own(field.data[:, ::-1].copy(order="K"))  # keeps the layout
 
 
 def reverse_disparity_restore(d_flipped_estimate: Grid1) -> Grid1:
@@ -341,7 +358,7 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 def warn_negative_disparity(d: Grid1) -> None:
     """RuntimeWarning if d has negative entries, reported at the first caller
     outside this package."""
-    if np.any(d.data < 0):
+    if d.data.min() < 0:
         frame, level = sys._getframe(), 1  # level 1 is this function's frame
         while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
             frame, level = frame.f_back, level + 1
@@ -364,6 +381,7 @@ def disparity_to_flow(d: Grid1, direction: str) -> Grid2:
         raise ValueError(f"unknown direction {direction!r}")
     warn_negative_disparity(d)
     sign = -1.0 if direction == LEFT_TO_RIGHT else 1.0
-    out = np.zeros((d.height, d.width, 2))
-    out[..., 0] = sign * d.data
+    out = Grid2._empty(d.data.shape)
+    np.multiply(sign, d.data, out=out[..., 0])
+    out[..., 1] = 0.0
     return Grid2._own(out)

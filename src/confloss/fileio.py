@@ -49,23 +49,25 @@ def read_flo(data: bytes):
     if avail < n:
         raise FormatError("truncated", f"flo payload has {avail} floats, needs {n}")
     raw = np.frombuffer(data, dtype="<f4", offset=12, count=n).reshape(height, width, 2)
+    flow = Grid2._empty(raw.shape)
     with np.errstate(invalid="ignore"):  # a signalling NaN is unknown like any NaN
+        np.copyto(flow, raw)  # the cast deinterleaves u and v into Grid2's planes
         # Two reductions decide whether every sample is known; NaN fails both.
         if -FLO_SENTINEL < raw.min() and raw.max() < FLO_SENTINEL:
             known = np.ones((height, width), dtype=bool)
-            return Grid2._own(raw.astype(np.float64)), BinaryMask._own(known)
+            return Grid2._own(flow), BinaryMask._own(known)
         ok = np.abs(raw) < FLO_SENTINEL  # False for NaN and +-Inf as well
-        flow = raw.astype(np.float64)
     known = ok[..., 0] & ok[..., 1]
-    flow[~known] = 0.0
+    np.copyto(flow, 0.0, where=~known[..., None])
     return Grid2._own(flow), BinaryMask._own(known)
 
 
-def _float32_bytes(arr: np.ndarray) -> bytes:
-    """arr as little-endian float32 bytes; ValueError where the cast gives Inf."""
+def _float32_payload(arr: np.ndarray) -> np.ndarray:
+    """arr cast to C-ordered little-endian float32, ready to join after a
+    header; ValueError where the cast gives Inf."""
     try:
         with np.errstate(over="raise"):
-            return arr.astype("<f4").tobytes()
+            return arr.astype("<f4", order="C")
     except FloatingPointError:
         raise ValueError("cannot write a value outside the float32 range "
                          f"(+-{np.finfo(np.float32).max:.8g})") from None
@@ -73,7 +75,7 @@ def _float32_bytes(arr: np.ndarray) -> bytes:
 
 def write_flo(flow: Grid2) -> bytes:
     header = struct.pack("<fii", FLO_MAGIC, flow.width, flow.height)
-    return header + _float32_bytes(flow.data)
+    return b"".join((header, _float32_payload(flow.data)))  # one copy of the payload
 
 
 # A header token after whitespace and '#' comments: a comment runs to the end
@@ -152,7 +154,7 @@ def read_pfm(data: bytes):
 
 def write_pfm(grid: Grid1) -> bytes:
     header = b"Pf\n%d %d\n-1.0\n" % (grid.width, grid.height)
-    return header + _float32_bytes(grid.data[::-1])
+    return b"".join((header, _float32_payload(grid.data[::-1])))
 
 
 def write_pgm(m: Grid1 | BinaryMask) -> bytes:
@@ -169,7 +171,7 @@ def write_pgm(m: Grid1 | BinaryMask) -> bytes:
         c += 0.5
         pixels = c.astype(np.uint8)  # the cast truncates, which floors c >= 0.5
     header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
-    return header + pixels.tobytes()
+    return b"".join((header, pixels))
 
 
 def read_pgm_mask(data: bytes) -> BinaryMask:

@@ -230,7 +230,7 @@ def weighted_l1_grad(pred: Grid2 | Grid1, gt: Grid2 | Grid1, weights: Grid1,
     per component, sign(0) = 0, zero on invalid pixels. Divide by n_valid for
     the gradient of the mean; the weights are constants (stop-gradient)."""
     _check_loss_inputs(pred, gt, valid, weights)
-    grad = np.empty(pred.data.shape)
+    grad = type(pred)._empty(pred.data.shape)
     _grad_rows(gt.data - pred.data, weights.data, valid.data,
                np.moveaxis(grad, -1, 0) if grad.ndim == 3 else grad[None])
     return type(pred)._own(grad)

@@ -1,10 +1,14 @@
 """Independent brute-force re-implementations used as test oracles.
 
 Everything here is written with explicit per-pixel Python loops and math.*
-so it shares no code path with the library's vectorized implementations.
+so it shares no code path with the library's vectorized implementations,
+except the frozen copies at the end: earlier vectorized versions of library
+functions, kept to show that a rewrite gives the same bits.
 """
 
 import math
+
+import numpy as np
 
 
 def bilinear(data, x, y):
@@ -219,3 +223,42 @@ def speed_bins(e, mag, valid):
             sums[idx] += e[y][x]
             counts[idx] += 1
     return tuple(sums[i] / counts[i] if counts[i] else None for i in range(3))
+
+
+# -- frozen copies ----------------------------------------------------------
+
+def whole_frame_report(pred, gt, valid, region=None):
+    """metrics.full_report as it was before it ran on row bands, on the raw
+    arrays, as a dict of MetricReport's fields: one whole-frame pass per
+    metric over the valid pixels' errors and GT magnitudes."""
+
+    def norm(a):
+        if a.ndim == 3:
+            return np.sqrt(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1])
+        return np.abs(a)
+
+    def mean(values):
+        return float(values.mean()) if values.size else None
+
+    def percent(bad):
+        return float(100.0 * np.count_nonzero(bad) / bad.size) if bad.size else None
+
+    err = norm(pred - gt)[valid]
+    mag = norm(gt)[valid]
+    counts = {"valid": err.size, "matched": 0, "unmatched": 0}
+    matched = unmatched = None
+    if region is not None:
+        in_region = region[valid]
+        matched, unmatched = mean(err[in_region]), mean(err[~in_region])
+        counts["matched"] = int(np.count_nonzero(in_region))
+        counts["unmatched"] = err.size - counts["matched"]
+    bins = (mag < 10.0, (mag >= 10.0) & (mag <= 40.0), mag > 40.0)
+    return {
+        "epe": mean(err),
+        "outlier_rates": {t: percent(err > t) for t in (0.5, 1.0, 2.0, 3.0, 5.0)},
+        "fl_all": percent((err > 3.0) & (err > 0.05 * mag)),
+        "speed_binned_epe": tuple(mean(err[b]) for b in bins),
+        "matched_epe": matched,
+        "unmatched_epe": unmatched,
+        "pixel_counts": counts,
+    }

@@ -89,6 +89,15 @@ class TestGridConstruction:
         np.testing.assert_array_equal(back.data, grid.data)
         assert not back.data.flags.writeable
 
+    @pytest.mark.parametrize("data", [
+        np.zeros((3, 5), dtype=bool),
+        np.ones((3, 5), dtype=bool),
+        np.random.default_rng(3).random((37, 41)) < 0.3,
+    ], ids=["empty", "full", "random"])
+    def test_mask_count(self, data):
+        count = BinaryMask(data).count()
+        assert type(count) is int and count == sum(map(sum, data.tolist()))
+
     def test_mask_and_rejects_mismatched_shapes(self):
         # Broadcasting would turn (4, 1) & (1, 3) into a (4, 3) mask.
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -1,9 +1,14 @@
+import dataclasses
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from confloss import confidence as confidence_module
 from confloss import (
     BinaryMask,
     Grid1,
@@ -12,6 +17,7 @@ from confloss import (
     full_report,
     magnitude_map,
 )
+from confloss.fields import _CHUNK
 from confloss.metrics import BAD_P_THRESHOLDS, OUTLIER_THRESHOLDS
 
 THRESHOLDS = sorted({*OUTLIER_THRESHOLDS, *BAD_P_THRESHOLDS})
@@ -248,6 +254,51 @@ class TestFullReport:
         assert report.pixel_counts == {"valid": sum(map(sum, v)),
                                        "matched": sum(map(sum, matched)),
                                        "unmatched": sum(map(sum, unmatched))}
+
+
+def _exact(value):
+    """A report value with its type, floats as their bit pattern."""
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    return type(value), struct.pack("<d", value) if type(value) is float else value
+
+
+# Frame shapes of one row band and of several (bands of about _CHUNK pixels,
+# down to one row per band on a frame wider than _CHUNK).
+ONE_BAND = ((1, 1), (7, 9), (64, 64))
+MANY_BANDS = ((3 * (_CHUNK // 512) + 5, 512), (2 * (_CHUNK // 1024) + 1, 1024), (3, _CHUNK + 7))
+assert all(h > max(1, _CHUNK // w) for h, w in MANY_BANDS)
+
+
+class TestBandedReport:
+    """full_report on row bands equals the whole-frame frozen copy bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([Grid2, Grid1]),
+           shape=st.sampled_from(ONE_BAND + MANY_BANDS),
+           p_valid=st.sampled_from([1.0, 0.7, 0.0]),
+           p_region=st.sampled_from([None, 0.0, 0.5, 1.0]),
+           gt_scale=st.sampled_from([1.0, 20.0, 80.0]))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=3, grid=Grid2, shape=MANY_BANDS[0], p_valid=0.0, p_region=0.5, gt_scale=20.0)
+    @example(seed=4, grid=Grid1, shape=MANY_BANDS[1], p_valid=0.7, p_region=1.0, gt_scale=1.0)
+    @example(seed=5, grid=Grid2, shape=MANY_BANDS[2], p_valid=1.0, p_region=0.0, gt_scale=80.0)
+    @example(seed=6, grid=Grid1, shape=ONE_BAND[2], p_valid=0.7, p_region=None, gt_scale=20.0)
+    def test_equals_whole_frame_copy(self, seed, grid, shape, p_valid, p_region, gt_scale):
+        rng = np.random.default_rng(seed)
+        full = shape + ((2,) if grid is Grid2 else ())
+        gt = grid(rng.normal(0.0, gt_scale, full))
+        pred = grid(gt.data + rng.normal(0.0, 3.0, full))
+        valid = BinaryMask(rng.random(shape) < p_valid)
+        region = None if p_region is None else BinaryMask(rng.random(shape) < p_region)
+        want = _exact(oracles.whole_frame_report(
+            pred.data, gt.data, valid.data, None if region is None else region.data))
+        for workers in (1, 2, 3):
+            with mock.patch.object(confidence_module, "_WORKERS", workers):
+                report = full_report(pred, gt, valid, region=region)
+            assert _exact(dataclasses.asdict(report)) == want, workers
+            assert list(report.outlier_rates) == THRESHOLDS
 
 
 def test_magnitude_map_flow_and_stereo():

@@ -1,6 +1,8 @@
-"""Ownership of grid data: every grid a library function returns is read-only
-and shares no memory with the caller's arrays or with the input grids (other
-than an input grid returned as itself)."""
+"""Ownership of grid data: every grid a library function returns is read-only,
+in its type's one memory layout, and shares no memory with the caller's
+arrays or with the input grids (other than an input grid returned as itself)."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from confloss import (
     Grid1,
     Grid2,
     LossResult,
+    SceneSpec,
+    TrainConfig,
     WeightSpec,
     backward_warp,
     build_weights,
@@ -30,6 +34,8 @@ from confloss import (
     occlusion_mask_stereo,
     reverse_disparity_restore,
     sequence_loss,
+    synth_scene,
+    train,
     weight_combine,
     weight_db,
     weight_oa,
@@ -58,7 +64,20 @@ FLO, PFM, PGM = write_flo(G["flow"]), write_pfm(G["disp"]), write_pgm(G["valid"]
 SPEC = WeightSpec(mode="mask_sum")
 
 
+def _train_grids():
+    scene = synth_scene(SceneSpec(height=16, width=16, square_size=8, square_motion=(2.0, 0.0)))
+    report = train(scene, TrainConfig(steps=2, block_size=4, snapshot_every=1,
+                                      loss_spec=SPEC))
+    return report.final_forward, report.final_backward, report.snapshots
+
+
 CALLS = {
+    "grid2_constructor": lambda: Grid2(ARRAYS["flow"]),
+    "grid2_zeros": lambda: Grid2.zeros(H, W),
+    "grid2_constant": lambda: Grid2.constant(H, W, 1.0, -2.0),
+    "grid2_unpickled": lambda: pickle.loads(pickle.dumps(G["flow"])),
+    "grid1_unpickled": lambda: pickle.loads(pickle.dumps(G["disp"])),
+    "train_predictions": _train_grids,
     "backward_warp_grid2": lambda: backward_warp(G["flow_bw"], G["flow"]),
     "backward_warp_grid1": lambda: backward_warp(G["disp"], G["flow"]),
     "hflip_grid2": lambda: hflip(G["flow"]),
@@ -128,7 +147,8 @@ def test_result_is_read_only_and_unshared(name):
     assert grids
     caller = [*ARRAYS.values()] + [np.frombuffer(b, dtype=np.uint8) for b in (FLO, PFM, PGM)]
     for g in grids:
-        assert not g.data.flags.writeable and g.data.flags.c_contiguous
+        layout = np.moveaxis(g.data, -1, 0) if isinstance(g, Grid2) else g.data
+        assert not g.data.flags.writeable and layout.flags.c_contiguous
         if g.data.dtype.kind == "f":
             assert np.isfinite(g.data).all()
         assert not any(np.shares_memory(g.data, arr) for arr in caller)

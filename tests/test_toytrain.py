@@ -15,6 +15,7 @@ import pytest
 import oracles
 from confloss import confidence as confidence_module
 from confloss import losses as losses_module
+from confloss import metrics as metrics_module
 from confloss import toytrain as toytrain_module
 from confloss import (
     MODES,
@@ -230,14 +231,14 @@ class TestTrain:
     def test_one_banded_pass_per_model_per_step(self, mode, every, monkeypatch):
         passes = []
         real = confidence_module._in_row_bands
-        for module in (confidence_module, losses_module):
+        for module in (confidence_module, losses_module, metrics_module):
             monkeypatch.setattr(module, "_in_row_bands",
                                 lambda *args: passes.append(1) or real(*args))
         scene = synth_scene(SceneSpec(height=32, width=32, square_size=16,
                                       square_motion=(4.0, 0.0)))
         train(scene, quick_config(mode, steps=7, block_size=4,
                                   recompute_confidence_every=every))
-        assert len(passes) == 2 * 7
+        assert len(passes) == 2 * 7 + 1  # and one for the final report
 
     @pytest.mark.parametrize("every", (1, 3))
     @pytest.mark.parametrize("mode", ("plain_l1", "db", "oa", "mask_sum"))
