@@ -49,15 +49,46 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             BinaryMask(np.zeros((2, 2)))  # not boolean
 
-    @pytest.mark.parametrize("cls, arr", [
-        (Grid1, np.zeros(3)),
-        (Grid1, np.zeros((2, 2, 1))),
-        (BinaryMask, np.zeros(3, dtype=bool)),
-        (BinaryMask, np.zeros((2, 2, 2), dtype=bool)),
-    ])
-    def test_rejects_wrong_number_of_dimensions(self, cls, arr):
-        with pytest.raises(ValueError, match=rf"{cls.__name__} expects shape \(H, W\)"):
+    # (type, data, the constructor's exact message). A mask's dtype is checked
+    # before its rank, and every rank check before the sides and finiteness.
+    BAD_DATA = [
+        (Grid1, np.zeros(3), "Grid1 expects shape (H, W), got (3,)"),
+        (Grid1, np.zeros((2, 2, 1)), "Grid1 expects shape (H, W), got (2, 2, 1)"),
+        (BinaryMask, np.zeros(3, dtype=bool), "BinaryMask expects shape (H, W), got (3,)"),
+        (BinaryMask, np.zeros((2, 2, 2), dtype=bool),
+         "BinaryMask expects shape (H, W), got (2, 2, 2)"),
+        (Grid1, np.float64(1.0), "Grid1 expects shape (H, W), got ()"),
+        (Grid1, np.zeros((1, 2, 3, 4)), "Grid1 expects shape (H, W), got (1, 2, 3, 4)"),
+        (Grid1, np.zeros((2, 0)), "Grid1 dimensions must be positive, got (2, 0)"),
+        (Grid1, np.array([[1.0, np.nan]]), "Grid1 rejects NaN/Inf entries"),
+        (Grid1, np.array([[-np.inf], [1.0]]), "Grid1 rejects NaN/Inf entries"),
+        (Grid2, np.zeros((2, 2)), "Grid2 expects shape (H, W, 2), got (2, 2)"),
+        (Grid2, np.float64(1.0), "Grid2 expects shape (H, W, 2), got ()"),
+        (Grid2, np.zeros(2), "Grid2 expects shape (H, W, 2), got (2,)"),
+        (Grid2, np.zeros((1, 2, 3, 2)), "Grid2 expects shape (H, W, 2), got (1, 2, 3, 2)"),
+        (Grid2, np.zeros((2, 3, 1)), "Grid2 expects shape (H, W, 2), got (2, 3, 1)"),
+        (Grid2, np.zeros((2, 3, 3)), "Grid2 expects shape (H, W, 2), got (2, 3, 3)"),
+        (Grid2, np.zeros((0, 3)), "Grid2 expects shape (H, W, 2), got (0, 3)"),
+        (Grid2, np.zeros((0, 3, 2)), "Grid2 dimensions must be positive, got (0, 3, 2)"),
+        (Grid2, np.array([[[0.0, np.nan]]]), "Grid2 rejects NaN/Inf entries"),
+        (Grid2, np.array([[[np.inf, 0.0]]]), "Grid2 rejects NaN/Inf entries"),
+        (BinaryMask, np.bool_(True), "BinaryMask expects shape (H, W), got ()"),
+        (BinaryMask, np.zeros((1, 2, 3, 4), dtype=bool),
+         "BinaryMask expects shape (H, W), got (1, 2, 3, 4)"),
+        (BinaryMask, np.zeros((0, 0), dtype=bool),
+         "BinaryMask dimensions must be positive, got (0, 0)"),
+        (BinaryMask, np.zeros((2, 2)), "BinaryMask expects boolean data, got dtype float64"),
+        (BinaryMask, np.zeros(3, dtype=np.uint8),
+         "BinaryMask expects boolean data, got dtype uint8"),
+        (BinaryMask, np.zeros((2, 2, 1)), "BinaryMask expects boolean data, got dtype float64"),
+    ]
+
+    @pytest.mark.parametrize("cls, arr, message", BAD_DATA,
+                             ids=[f"{c.__name__}-arr{i}" for i, (c, _, _) in enumerate(BAD_DATA)])
+    def test_rejects_wrong_number_of_dimensions(self, cls, arr, message):
+        with pytest.raises(ValueError) as err:
             cls(arr)
+        assert str(err.value) == message
 
     def test_data_is_immutable(self):
         g = Grid1.zeros(2, 2)

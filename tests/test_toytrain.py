@@ -460,6 +460,21 @@ class TestRunsInWorkers:
         assert out.split("\n") == ["TrainingDivergedError", "no child left",
                                    "KeyboardInterrupt", "no child left", ""]
 
+    def test_a_worker_that_dies_without_results_raises(self, monkeypatch):
+        caller = os.getpid()
+
+        def dying_train(scene, cfg, real=train):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(scene, cfg)
+        monkeypatch.setattr(confidence_module, "_WORKERS", 2)
+        monkeypatch.setattr(toytrain_module, "train", dying_train)
+        with pytest.raises(RuntimeError) as err:
+            compare_runs(quick_config(steps=2, block_size=4), [WeightSpec()],
+                         [small_scene(seed) for seed in range(2)])
+        assert_no_child_left()
+        assert str(err.value) == "a training worker exited without its results"
+
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         def no_fork():
             raise AssertionError("os.fork called with a second thread alive")
