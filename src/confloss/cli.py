@@ -282,14 +282,20 @@ def _vec2(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+def _seeds(text: str) -> tuple[int, ...]:
+    seeds = tuple(int(v) for v in text.split(","))
+    if min(seeds) < 0:
+        raise ValueError(f"expected non-negative integers, got {min(seeds)}")
+    return seeds
+
+
 # key -> (parser, owner, field). Each int, float or 2-tuple field of SceneSpec,
 # TrainConfig, WeightSpec and CycleParams but the scene seed is the key of its
 # name (noise_sigma: occluded_label_noise_sigma), parsed after its default. The
 # keys without an owner are the lists of scene seeds and loss modes. Absent
 # keys keep the library's defaults.
 _PARSERS = {int: int, float: float, tuple: _vec2}
-_LISTS = {"seeds": lambda text: tuple(int(v) for v in text.split(",")),
-          "modes": lambda text: tuple(v.strip() for v in text.split(","))}
+_LISTS = {"seeds": _seeds, "modes": lambda text: tuple(v.strip() for v in text.split(","))}
 _TOY_KEYS = {
     {"occluded_label_noise_sigma": "noise_sigma"}.get(f.name, f.name):
         (_PARSERS[type(f.default)], owner, f.name)

@@ -857,7 +857,9 @@ class TestToytrain:
         ("steps = 2\n# comment\nblock_size = four\n",
          "config line 3: bad value for 'block_size': "
          "invalid literal for int() with base 10: 'four'"),
-    ], ids=("no_equals", "bad_value"))
+        ("seeds = 0, -1, 2\n",
+         "config line 1: bad value for 'seeds': expected non-negative integers, got -1"),
+    ], ids=("no_equals", "bad_value", "negative_seed"))
     def test_bad_config_line_is_named(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "c.txt"
         cfg.write_text(text)
