@@ -213,16 +213,14 @@ def cycle_terms(f_fw: Grid2 | Grid1, f_bw: Grid2 | Grid1,
     off-frame are reported in target_valid as False (the sampled value there
     is 0, so the terms are still finite).
     """
-    num, den = np.empty(f_fw.shape), np.empty(f_fw.shape)
-    target_valid = np.empty(f_fw.shape, dtype=bool)
-    _from_pair(_copy_rows, num, f_fw, f_bw, params, den, target_valid)
+    rows = _cycle_rows(f_fw, f_bw, params)
+    num, den, target_valid = (np.empty(f_fw.shape, t) for t in (float, float, bool))
+
+    def band(r0, r1):
+        num[r0:r1], den[r0:r1], target_valid[r0:r1] = rows(r0, r1)
+
+    _in_row_bands(band, *f_fw.shape)
     return Grid1._own(num), Grid1._own(den), BinaryMask._own(target_valid)
-
-
-def _copy_rows(num, den, target_valid, *outs) -> None:
-    """Row kernel of cycle_terms: the band's terms into its rows of outs."""
-    for term, out in zip((num, den, target_valid), outs):
-        out[...] = term
 
 
 def _matched_rows(num, den, target_valid, out=None) -> np.ndarray:
@@ -241,13 +239,11 @@ def _oa_rows(num, den, target_valid, out) -> np.ndarray:
     return out
 
 
-def _from_pair(kernel, out: np.ndarray, f_fw, f_bw, params: CycleParams,
-               *more: np.ndarray) -> np.ndarray:
-    """kernel(num, den, target_valid, rows of out, rows of each of more) on
-    each row band's cycle terms, which stay band-sized; returns out."""
+def _from_pair(kernel, out: np.ndarray, f_fw, f_bw, params: CycleParams) -> np.ndarray:
+    """kernel(num, den, target_valid, rows of out) on each row band's cycle
+    terms, which stay band-sized; returns out."""
     rows = _cycle_rows(f_fw, f_bw, params)
-    _in_row_bands(lambda r0, r1: kernel(*rows(r0, r1), *(a[r0:r1] for a in (out, *more))),
-                  *out.shape)
+    _in_row_bands(lambda r0, r1: kernel(*rows(r0, r1), out[r0:r1]), *out.shape)
     return out
 
 

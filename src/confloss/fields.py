@@ -76,10 +76,13 @@ class _Grid:
         """A fresh array of the given data shape in the type's memory layout."""
         return np.empty(shape, dtype)
 
-    def _store(self, arr: np.ndarray) -> None:
-        """Check arr's dimensions (and finiteness, if float) and keep a
-        read-only copy in the type's layout."""
+    def _store(self, arr: np.ndarray, channels: tuple[int, ...] = ()) -> None:
+        """Check that arr is (H, W, *channels) with H and W positive (and
+        finite, if float), and keep a read-only copy in the type's layout."""
         name = type(self).__name__
+        if arr.ndim != 2 + len(channels) or arr.shape[2:] != channels:
+            expected = ", ".join(("H", "W", *map(str, channels)))
+            raise ValueError(f"{name} expects shape ({expected}), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"{name} dimensions must be positive, got {arr.shape}")
         if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
@@ -116,10 +119,7 @@ class Grid2(_Grid):
         return np.moveaxis(np.empty((2, *shape[:2]), dtype), 0, -1)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ValueError(f"Grid2 expects shape (H, W, 2), got {arr.shape}")
-        self._store(arr)
+        self._store(np.asarray(self.data, dtype=np.float64), (2,))
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "Grid2":
@@ -138,10 +138,7 @@ class Grid1(_Grid):
     """H x W grid of scalars: disparity (pixels) or a confidence/weight map."""
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"Grid1 expects shape (H, W), got {arr.shape}")
-        self._store(arr)
+        self._store(np.asarray(self.data, dtype=np.float64))
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "Grid1":
@@ -164,8 +161,6 @@ class BinaryMask(_Grid):
         arr = np.asarray(self.data)
         if arr.dtype != np.bool_:
             raise ValueError(f"BinaryMask expects boolean data, got dtype {arr.dtype}")
-        if arr.ndim != 2:
-            raise ValueError(f"BinaryMask expects shape (H, W), got {arr.shape}")
         self._store(arr)
 
     @classmethod
@@ -296,28 +291,23 @@ def sample_values(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     Returns (values, in_bounds). Out-of-bounds samples are 0 with
     in_bounds False. In-bounds means (x, y) in [0, W-1] x [0, H-1].
     Coordinates must not be NaN: they are not checked, and a NaN cast to a
-    gather index raises IndexError.
-    The points are processed in fixed-size chunks; the result does not
-    depend on the chunking.
+    gather index raises IndexError. xs and ys broadcast to the results'
+    shape. The result does not depend on the fixed-size chunks of points.
     """
     h, w = data.shape[:2]
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape:
-        xs, ys = np.broadcast_arrays(xs, ys)
-    shape = xs.shape
-    xs, ys = xs.reshape(-1), ys.reshape(-1)
+    xs, ys = np.broadcast_arrays(np.asarray(xs, np.float64), np.asarray(ys, np.float64))
+    x, y = xs.reshape(-1), ys.reshape(-1)
     planes = _channel_planes(data)
-    values = np.empty((len(planes), xs.size))  # channel-first, as Grid2 stores it
-    inb = np.empty(xs.size, dtype=bool)
-    for start in range(0, xs.size, _CHUNK):
+    values = np.empty((len(planes), x.size))  # channel-first, as Grid2 stores it
+    inb = np.empty(x.size, dtype=bool)
+    for start in range(0, x.size, _CHUNK):
         end = start + _CHUNK
-        samples, ok = _bilinear_points(planes, h, w, xs[start:end], ys[start:end])
+        samples, ok = _bilinear_points(planes, h, w, x[start:end], y[start:end])
         for c, s in enumerate(samples):
             values[c, start:end] = s
         inb[start:end] = ok
-    values = values.reshape((len(planes),) + shape)
-    return (np.moveaxis(values, 0, -1) if data.ndim == 3 else values[0]), inb.reshape(shape)
+    values = values.reshape(len(planes), *xs.shape)
+    return (np.moveaxis(values, 0, -1) if data.ndim == 3 else values[0]), inb.reshape(xs.shape)
 
 
 def backward_warp(field: Grid2 | Grid1, flow: Grid2):

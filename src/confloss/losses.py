@@ -247,7 +247,6 @@ def _weights_and_loss(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
     h, w = check_pair(pred, gt, valid)
     uses = set() if keep_weights else _FACTORS[spec.mode]
     check = spec.needs_backward and not keep_weights
-    with_residual = "db" in uses or loss_map is not None or grad is not None
     if check:
         if backward is None:
             raise ValueError(f"mode {spec.mode!r} needs a backward field")
@@ -265,7 +264,7 @@ def _weights_and_loss(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
             if "oa" in uses:
                 m_oa = _oa_rows(num, den, target_valid, num)
         # After the check, so that the band's peak allocation stays low.
-        r = gt.data[r0:r1] - pred.data[r0:r1] if with_residual else None
+        r = gt.data[r0:r1] - pred.data[r0:r1]
         if "db" in uses:  # M_db is built in the weight rows, then updated in place
             _db_rows(r, ok, out)
         if not keep_weights:

@@ -219,7 +219,8 @@ def coordinates(n):
 
 @st.composite
 def sampling_cases(draw):
-    """(data, xs, ys): (H, W) or (H, W, 2) data, 0-d or (R, C) coordinates."""
+    """(data, xs, ys): (H, W) or (H, W, 2) data and 0-d coordinates, (R, C)
+    coordinates, or a (C,) row of xs against an (R, 1) column of ys."""
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     shape = (h, w) if draw(st.booleans()) else (h, w, 2)
     data = draw(arrays(np.float64, shape, elements=finite))
@@ -228,6 +229,8 @@ def sampling_cases(draw):
     r, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     xs = np.array(draw(st.lists(coordinates(w), min_size=r * c, max_size=r * c)))
     ys = np.array(draw(st.lists(coordinates(h), min_size=r * c, max_size=r * c)))
+    if draw(st.booleans()):
+        return data, xs[:c], ys[:r, None]
     return data, xs.reshape(r, c), ys.reshape(r, c)
 
 
@@ -238,6 +241,8 @@ class TestSampleValuesBits:
               np.array([[0.0, 0.0, np.nextafter(0.0, 1.0)]])))
     @example((np.array([[[1.0, -2.0]], [[3.0, 4.0]]]), np.array([0.0, 1e-300]),
               np.array([1.0, np.nextafter(1.0, 2.0)])))
+    @example((np.arange(6.0).reshape(2, 3), np.array([0.0, 0.5, 2.0, 2.5]),
+              np.array([[0.0], [0.25], [-1e-300]])))
     def test_equals_fancy_index_version(self, case):
         data, xs, ys = case
         got, got_inb = sample_values(data, xs, ys)
