@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .fields import (
     _bilinear_points,
     _channel_planes,
     _linear_rows,
-    check_finite,
+    check_fields,
     check_pair,
     warn_negative_disparity,
 )
@@ -41,15 +41,11 @@ class CycleParams:
     positive (it is the constant part of the tolerance).
     """
 
-    gamma1: float = 0.01
-    gamma2: float = 0.5
+    gamma1: float = field(default=0.01, metadata={"min": 0})
+    gamma2: float = field(default=0.5, metadata={"above": 0})
 
     def __post_init__(self):
-        check_finite(self, "gamma1", "gamma2")
-        if self.gamma1 < 0:
-            raise ValueError(f"gamma1 must be >= 0, got {self.gamma1}")
-        if self.gamma2 <= 0:
-            raise ValueError(f"gamma2 must be > 0, got {self.gamma2}")
+        check_fields(self)
 
 
 def _cpu_count() -> int:

@@ -26,20 +26,38 @@ runs.
 
 from __future__ import annotations
 
+import numbers
+import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+_BOUNDS = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (operator.le, "<=")}
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          tuple: (numbers.Real, "a tuple of {} real numbers")}
 
-def check_finite(obj, *names: str) -> None:
-    """Raise ValueError naming the first of obj's fields that holds a NaN or Inf."""
-    for name in names:
-        value = getattr(obj, name)
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
+
+def check_fields(obj) -> None:
+    """Raise ValueError("<field> must be ..., got <value>") unless each int field
+    of the dataclass obj holds an integer, each float or tuple field finite real
+    numbers (no bools), and each bound in a field's metadata holds."""
+    for f in fields(obj):
+        if type(f.default) not in _KINDS:
+            continue
+        (kind, what), value = _KINDS[type(f.default)], getattr(obj, f.name)
+        entries, n = (value, len(f.default)) if type(f.default) is tuple else ((value,), 1)
+        if not (isinstance(entries, tuple) and len(entries) == n and all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in entries)):
+            raise ValueError(f"{f.name} must be {what.format(n)}, got {value!r}")
+        if not all(-np.inf < v < np.inf for v in entries):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        for key, bound in f.metadata.items():
+            holds, sign = _BOUNDS[key]
+            if not holds(value, bound):
+                raise ValueError(f"{f.name} must be {sign} {bound}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

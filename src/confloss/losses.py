@@ -38,7 +38,7 @@ from .confidence import (
     _matched_rows,
     _oa_rows,
 )
-from .fields import (BinaryMask, ConfidenceMap, Grid1, Grid2, check_finite, check_pair,
+from .fields import (BinaryMask, ConfidenceMap, Grid1, Grid2, check_fields, check_pair,
                      check_same_shape)
 
 PLAIN_L1 = "plain_l1"
@@ -76,20 +76,16 @@ class WeightSpec:
     """
 
     mode: str = PLAIN_L1
-    alpha1: float = 2.0
-    beta1: float = 0.5
-    alpha2: float = 2.0
-    beta2: float = 1.0
+    alpha1: float = field(default=2.0, metadata={"min": 0})
+    beta1: float = field(default=0.5, metadata={"above": 0})
+    alpha2: float = field(default=2.0, metadata={"min": 0})
+    beta2: float = field(default=1.0, metadata={"above": 0})
     cycle: CycleParams = field(default_factory=CycleParams)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown loss mode {self.mode!r}; expected one of {MODES}")
-        check_finite(self, "alpha1", "beta1", "alpha2", "beta2")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("alpha values must be >= 0")
-        if self.beta1 <= 0 or self.beta2 <= 0:
-            raise ValueError("beta values must be > 0")
+        check_fields(self)
 
     @classmethod
     def stereo_defaults(cls, mode: str = PLAIN_L1, **overrides) -> "WeightSpec":
@@ -104,11 +100,10 @@ class WeightSpec:
 class SequenceParams:
     """Discount gamma_seq in (0, 1] applied as gamma^(N-i) over iterations."""
 
-    gamma_seq: float = 0.8
+    gamma_seq: float = field(default=0.8, metadata={"above": 0, "max": 1})
 
     def __post_init__(self):
-        if not (0.0 < self.gamma_seq <= 1.0):
-            raise ValueError(f"gamma_seq must lie in (0, 1], got {self.gamma_seq}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import confidence
 from .confidence import confidence_db_flow, confidence_oa
-from .fields import BinaryMask, Grid1, Grid2, check_finite
+from .fields import BinaryMask, Grid1, Grid2, check_fields
 from .losses import WeightSpec, _weights_and_loss
 from .metrics import MetricReport, full_report
 
@@ -53,17 +53,15 @@ class SceneSpec:
 
     height: int = 64
     width: int = 64
-    square_size: int = 32
+    square_size: int = field(default=32, metadata={"min": 1})
     square_motion: tuple[float, float] = (8.0, 0.0)
     background_motion: tuple[float, float] = (0.0, 0.0)
-    occluded_label_noise_sigma: float = 3.0
-    seed: int = 0
+    occluded_label_noise_sigma: float = field(default=3.0, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
-        check_finite(self, "square_motion", "background_motion", "occluded_label_noise_sigma")
-        if self.occluded_label_noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if self.square_size < 1 or self.square_size > min(self.height, self.width):
+        check_fields(self)
+        if self.square_size > min(self.height, self.width):
             raise ValueError(f"square size {self.square_size} does not fit a "
                              f"{self.height}x{self.width} frame")
         (x0, y0), (mx, my), size = self.square_origin, self.square_motion, self.square_size
@@ -195,23 +193,15 @@ class BlockFlowModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 500
-    learning_rate: float = 0.05
+    steps: int = field(default=500, metadata={"min": 1})
+    learning_rate: float = field(default=0.05, metadata={"above": 0})
     loss_spec: WeightSpec = field(default_factory=WeightSpec)
-    recompute_confidence_every: int = 1
-    snapshot_every: int = 0
+    recompute_confidence_every: int = field(default=1, metadata={"min": 1})
+    snapshot_every: int = field(default=0, metadata={"min": 0})
     block_size: int = 8  # side of a model block, in pixels
 
     def __post_init__(self):
-        check_finite(self, "learning_rate")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.recompute_confidence_every < 1:
-            raise ValueError("recompute_confidence_every must be >= 1")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
