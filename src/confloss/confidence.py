@@ -28,6 +28,7 @@ from .fields import (
     _channel_planes,
     _linear_rows,
     check_fields,
+    check_mask,
     check_pair,
     warn_negative_disparity,
 )
@@ -125,6 +126,7 @@ def _db_rows(r, valid, out) -> None:
 
 
 def _confidence_db(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask) -> ConfidenceMap:
+    check_mask(valid, "valid")
     h, w = check_pair(pred, gt, valid)
     return Grid1._own(_map_rows(lambda p, g, v, out: _db_rows(g - p, v, out),
                                 np.empty((h, w)), pred.data, gt.data, valid.data))

@@ -15,8 +15,9 @@ safe to share across threads.
 
 Validation happens at the boundary. The public constructors (Grid2(...),
 Grid1(...), BinaryMask(...) and their zeros/full/constant helpers) copy the
-caller's array and reject NaN/Inf, and the file readers zero and mark
-invalid the samples they cannot read. The library wraps its own results with
+caller's array and reject NaN/Inf and non-real dtypes, the file readers zero
+and mark invalid the samples they cannot read, and check_fields checks the
+parameter dataclasses' number fields against the bounds in their metadata. The library wraps its own results with
 the private _Grid._own, which neither copies nor scans: it is handed only
 arrays the library has just allocated, never a caller's array. Finite inputs
 give finite results unless a computation overflows, which numpy reports as a
@@ -94,10 +95,16 @@ class _Grid:
         """A fresh array of the given data shape in the type's memory layout."""
         return np.empty(shape, dtype)
 
-    def _store(self, arr: np.ndarray, channels: tuple[int, ...] = ()) -> None:
-        """Check that arr is (H, W, *channels) with H and W positive (and
-        finite, if float), and keep a read-only copy in the type's layout."""
-        name = type(self).__name__
+    def _store(self, data, channels: tuple[int, ...] = (), dtype=np.float64) -> None:
+        """Check that data holds real numbers (bool, int or float; only bool for
+        a bool dtype) in an (H, W, *channels) array with H and W positive, cast
+        it to dtype, check that it is finite, and keep a read-only copy in the
+        type's layout."""
+        name, arr = type(self).__name__, np.asarray(data)
+        kinds, what = ("b", "boolean data") if dtype is np.bool_ else ("biuf", "real numbers")
+        if arr.dtype.kind not in kinds:
+            raise ValueError(f"{name} expects {what}, got dtype {arr.dtype}")
+        arr = arr.astype(dtype, copy=False)
         if arr.ndim != 2 + len(channels) or arr.shape[2:] != channels:
             expected = ", ".join(("H", "W", *map(str, channels)))
             raise ValueError(f"{name} expects shape ({expected}), got {arr.shape}")
@@ -137,7 +144,7 @@ class Grid2(_Grid):
         return np.moveaxis(np.empty((2, *shape[:2]), dtype), 0, -1)
 
     def __post_init__(self):
-        self._store(np.asarray(self.data, dtype=np.float64), (2,))
+        self._store(self.data, (2,))
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "Grid2":
@@ -156,7 +163,7 @@ class Grid1(_Grid):
     """H x W grid of scalars: disparity (pixels) or a confidence/weight map."""
 
     def __post_init__(self):
-        self._store(np.asarray(self.data, dtype=np.float64))
+        self._store(self.data)
 
     @classmethod
     def zeros(cls, height: int, width: int) -> "Grid1":
@@ -176,10 +183,7 @@ class BinaryMask(_Grid):
     """H x W boolean grid (validity masks, occlusion masks)."""
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype != np.bool_:
-            raise ValueError(f"BinaryMask expects boolean data, got dtype {arr.dtype}")
-        self._store(arr)
+        self._store(self.data, dtype=np.bool_)
 
     @classmethod
     def full(cls, height: int, width: int, value: bool = True) -> "BinaryMask":
@@ -201,6 +205,11 @@ def check_same_shape(*grids) -> tuple[int, int]:
     if len(shapes) != 1:
         raise ValueError(f"dimension mismatch: {sorted(shapes)}")
     return next(iter(shapes))
+
+
+def check_mask(mask, name: str) -> None:
+    if not isinstance(mask, BinaryMask):
+        raise ValueError(f"{name} must be a BinaryMask, got {type(mask).__name__}")
 
 
 def check_pair(a, b, *others, names: str = "pred and gt") -> tuple[int, int]:

@@ -38,8 +38,8 @@ from .confidence import (
     _matched_rows,
     _oa_rows,
 )
-from .fields import (BinaryMask, ConfidenceMap, Grid1, Grid2, check_fields, check_pair,
-                     check_same_shape)
+from .fields import (BinaryMask, ConfidenceMap, Grid1, Grid2, check_fields, check_mask,
+                     check_pair, check_same_shape)
 
 PLAIN_L1 = "plain_l1"
 DB = "db"
@@ -180,6 +180,7 @@ def weight_combine(m_db: ConfidenceMap | None, m_oa: ConfidenceMap | None,
 def _check_loss_inputs(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
                        *maps: Grid1) -> int:
     """Check the inputs of a weighted L1 loss; returns the valid-pixel count."""
+    check_mask(valid, "valid")
     check_pair(pred, gt, valid, *maps)
     n_valid = valid.count()
     if n_valid == 0:
@@ -282,6 +283,7 @@ def build_weights(spec: WeightSpec, pred: Grid2 | Grid1, gt: Grid2 | Grid1,
     is the restored right-to-left disparity. M_oa and H come from one shared
     cycle check.
     """
+    check_mask(valid, "valid")
     return Grid1._own(_weights_and_loss(spec, pred, gt, valid, backward))
 
 

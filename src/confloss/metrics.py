@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import _in_row_bands
-from .fields import BinaryMask, Grid1, Grid2, check_pair, check_same_shape
+from .fields import BinaryMask, Grid1, Grid2, check_mask, check_pair, check_same_shape
 
 OUTLIER_THRESHOLDS = (1.0, 3.0, 5.0)
 BAD_P_THRESHOLDS = (0.5, 1.0, 2.0, 3.0)
@@ -102,6 +102,9 @@ def full_report(pred: Grid2 | Grid1, gt: Grid2 | Grid1, valid: BinaryMask,
     select, with its bits.
     """
     check_pair(pred, gt)
+    check_mask(valid, "valid")
+    if region is not None:
+        check_mask(region, "region")
     h, w = check_same_shape(*(g for g in (pred, valid, region) if g is not None))
     # The valid pixels in row-major order: rows r0 .. r1 - 1 own entries
     # start[r0] .. start[r1] - 1 of err, by_bin and by_region, so each band
