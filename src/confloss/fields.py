@@ -17,12 +17,12 @@ Validation happens at the boundary. The public constructors (Grid2(...),
 Grid1(...), BinaryMask(...) and their zeros/full/constant helpers) copy the
 caller's array and reject NaN/Inf and non-real dtypes, the file readers zero
 and mark invalid the samples they cannot read, and check_fields checks the
-parameter dataclasses' number fields against the bounds in their metadata. The library wraps its own results with
-the private _Grid._own, which neither copies nor scans: it is handed only
-arrays the library has just allocated, never a caller's array. Finite inputs
-give finite results unless a computation overflows, which numpy reports as a
-RuntimeWarning, or raises under np.errstate(over="raise") as toytrain.train
-runs.
+parameter dataclasses' number fields against the bounds in their metadata.
+The library wraps its own results with the private _Grid._own, which neither
+copies nor scans: it is handed only arrays the library has just allocated,
+never a caller's array. Finite inputs give finite results unless a
+computation overflows, which numpy reports as a RuntimeWarning, or raises
+under np.errstate(over="raise") as toytrain.train runs.
 """
 
 from __future__ import annotations
