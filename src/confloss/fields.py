@@ -17,7 +17,7 @@ Validation happens at the boundary. The public constructors (Grid2(...),
 Grid1(...), BinaryMask(...) and their zeros/full/constant helpers) copy the
 caller's array and reject NaN/Inf and non-real dtypes, the file readers zero
 and mark invalid the samples they cannot read, and check_fields checks the
-parameter dataclasses' number fields against the bounds in their metadata.
+parameter dataclasses' fields against their defaults' types and metadata bounds.
 The library wraps its own results with the private _Grid._own, which neither
 copies nor scans: it is handed only arrays the library has just allocated,
 never a caller's array. Finite inputs give finite results unless a
@@ -44,11 +44,15 @@ _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real n
 def check_fields(obj) -> None:
     """Raise ValueError("<field> must be ..., got <value>") unless each int field
     of the dataclass obj holds an integer, each float or tuple field finite real
-    numbers (no bools), and each bound in a field's metadata holds."""
+    numbers (no bools), each field whose default_factory is a class an instance
+    of it, and each bound in a field's metadata holds."""
     for f in fields(obj):
+        cls, value = f.default_factory, getattr(obj, f.name)
+        if isinstance(cls, type) and not isinstance(value, cls):
+            raise ValueError(f"{f.name} must be a {cls.__name__}, got {value!r}")
         if type(f.default) not in _KINDS:
             continue
-        (kind, what), value = _KINDS[type(f.default)], getattr(obj, f.name)
+        kind, what = _KINDS[type(f.default)]
         entries, n = (value, len(f.default)) if type(f.default) is tuple else ((value,), 1)
         if not (isinstance(entries, tuple) and len(entries) == n and all(
                 isinstance(v, kind) and not isinstance(v, bool) for v in entries)):
@@ -220,9 +224,8 @@ def check_pair(a, b, *others, names: str = "pred and gt") -> tuple[int, int]:
 
 
 # Points per chunk of the samplers and pixels per band of the cycle check:
-# each chunk's float64 temporaries are 256 KB, small enough to stay in cache
-# and be reused by the allocator, where frame-sized ones are page-faulted
-# fresh and streamed through DRAM.
+# each chunk's 256 KB of float64 temporaries stays in cache, where frame-sized
+# ones stream through DRAM; cli.main's heap policy keeps freed pages of both.
 _CHUNK = 32768
 
 

@@ -198,7 +198,7 @@ class TrainConfig:
     loss_spec: WeightSpec = field(default_factory=WeightSpec)
     recompute_confidence_every: int = field(default=1, metadata={"min": 1})
     snapshot_every: int = field(default=0, metadata={"min": 0})
-    block_size: int = 8  # side of a model block, in pixels
+    block_size: int = field(default=8, metadata={"min": 2})  # model block side, in pixels
 
     def __post_init__(self):
         check_fields(self)

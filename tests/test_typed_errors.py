@@ -68,6 +68,10 @@ PROBE_CASES = [
     (WeightSpec, "alpha1", "a"),
     (CycleParams, "gamma1", "x"),
     (SequenceParams, "gamma_seq", "x"),
+    (WeightSpec, "cycle", None),
+    (WeightSpec, "cycle", {"gamma1": 0.01}),
+    (TrainConfig, "loss_spec", None),
+    (TrainConfig, "loss_spec", "oa"),
 ]
 
 
@@ -101,7 +105,10 @@ def test_messages():
             (lambda: WeightSpec(alpha1="a"), "alpha1 must be a real number, got 'a'"),
             (lambda: SceneSpec(square_motion=(1.0,)),
              "square_motion must be a tuple of 2 real numbers, got (1.0,)"),
-            (lambda: CycleParams(gamma2=np.inf), "gamma2 must be finite, got inf")):
+            (lambda: CycleParams(gamma2=np.inf), "gamma2 must be finite, got inf"),
+            (lambda: WeightSpec(cycle=None), "cycle must be a CycleParams, got None"),
+            (lambda: TrainConfig(loss_spec=None), "loss_spec must be a WeightSpec, got None"),
+            (lambda: TrainConfig(block_size=1), "block_size must be >= 2, got 1")):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
