@@ -168,22 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _keep_heap() -> None:
-    """Keep freed memory in this process's glibc heap, so repeated arrays reuse
-    its pages: arrays up to 32 MiB come from the heap and its top is trimmed
-    only past 256 MiB (a trim threshold alone pins the mmap one at 128 KiB).
-    Forked workers inherit it; without a C library mallopt this does nothing."""
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """main()'s parser, built on the first call; parse_args keeps no state in it."""
     return build_parser()
@@ -389,7 +373,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _keep_heap()
     parser = _parser()
     args = parser.parse_args(argv)
     if args.show_defaults:

@@ -72,10 +72,10 @@ def _in_row_bands(band, h: int, w: int) -> None:
     A frame of two bands or more is split into one contiguous block of rows
     per worker. The calling thread walks the first block, and a thread started
     for this call each of the others, under the caller's numpy error state.
-    Each call writes only its own rows of arrays the caller allocated, so the
-    result does not depend on the worker count; a started thread's temporaries
-    live in its own malloc arena, kept untrimmed under cli.main's heap policy.
-    Returns, or raises a block's first error, only once every thread is joined.
+    Each call writes only its own rows of arrays the caller allocated (arrays
+    another thread allocates stay in its own malloc arena once freed), so the
+    result does not depend on the worker count. Returns, or raises the first
+    error of a block, only once every thread has been joined.
     """
     step = max(1, _CHUNK // w)
     workers = min(_WORKERS, -(-h // step))

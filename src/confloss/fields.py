@@ -224,8 +224,9 @@ def check_pair(a, b, *others, names: str = "pred and gt") -> tuple[int, int]:
 
 
 # Points per chunk of the samplers and pixels per band of the cycle check:
-# each chunk's 256 KB of float64 temporaries stays in cache, where frame-sized
-# ones stream through DRAM; cli.main's heap policy keeps freed pages of both.
+# each chunk's float64 temporaries are 256 KB, small enough to stay in cache
+# and be reused by the allocator, where frame-sized ones are page-faulted
+# fresh and streamed through DRAM.
 _CHUNK = 32768
 
 

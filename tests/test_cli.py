@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import hashlib
 import re
@@ -6,7 +5,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,43 +141,6 @@ class TestCachedParser:
                      "--out-pfm", str(tmp_path / "x.pfm")]) == 2
         capsys.readouterr()
         assert confmap("second") == first
-
-
-def _no_c_library(name):
-    raise OSError("no C library")
-
-
-class TestHeapPolicy:
-    """main() sets glibc's mmap and trim thresholds once per process, and runs
-    the same where the C library has no mallopt."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_helper(self):
-        cli._keep_heap.cache_clear()
-        yield
-        cli._keep_heap.cache_clear()
-
-    def test_sets_both_thresholds_once(self, monkeypatch, capsys):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-        for _ in range(2):
-            assert main(["--show-defaults"]) == 0
-        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
-
-    @pytest.mark.parametrize("cdll", [_no_c_library, lambda name: SimpleNamespace()],
-                             ids=("cdll_fails", "no_mallopt"))
-    def test_without_mallopt_output_is_unchanged(self, monkeypatch, capsys, cdll):
-        assert main(["--show-defaults"]) == 0
-        want = capsys.readouterr().out
-        cli._keep_heap.cache_clear()
-        monkeypatch.setattr(ctypes, "CDLL", cdll)
-        assert main(["--show-defaults"]) == 0
-        assert capsys.readouterr().out == want
 
 
 class TestConfmap:
